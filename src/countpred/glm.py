@@ -184,14 +184,22 @@ def _linear_predictor(theta: np.ndarray, X: np.ndarray) -> np.ndarray:
     return eta
 
 
+def _log_factorial_terms(y: np.ndarray) -> np.ndarray:
+    return np.array([math.lgamma(v + 1.0) for v in y])
+
+
+def _loglik(theta: np.ndarray, X: np.ndarray, y: np.ndarray,
+            lfact: np.ndarray) -> float:
+    eta = _linear_predictor(theta, X)
+    return float(np.sum(y * eta - np.exp(eta) - lfact))
+
+
 def loglik(theta, X, y) -> float:
     """Poisson log likelihood including the factorial term."""
     theta = np.asarray(theta, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    eta = _linear_predictor(theta, X)
-    lfact = np.array([math.lgamma(v + 1.0) for v in y])
-    return float(np.sum(y * eta - np.exp(eta) - lfact))
+    return _loglik(theta, X, y, _log_factorial_terms(y))
 
 
 def score(theta, X, y) -> np.ndarray:
@@ -251,6 +259,8 @@ def fit(X, y, init=None, tol: float = 1e-8, max_iter: int = 100,
     if n < k:
         raise DesignError(f"need at least as many observations ({n}) as parameters ({k})")
     y_f = y_arr.astype(np.float64)
+    # ln y! does not depend on theta: computed once, not per line-search step.
+    lfact = _log_factorial_terms(y_f)
 
     if init is not None:
         theta = np.asarray(init, dtype=np.float64).copy()
@@ -259,7 +269,7 @@ def fit(X, y, init=None, tol: float = 1e-8, max_iter: int = 100,
         # zeros can put the first Newton step outside the improving
         # region for steep designs.
         theta = np.linalg.lstsq(X, np.log(y_f + 0.5), rcond=None)[0]
-    ll = loglik(theta, X, y_f)
+    ll = _loglik(theta, X, y_f, lfact)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
@@ -276,7 +286,7 @@ def fit(X, y, init=None, tol: float = 1e-8, max_iter: int = 100,
         for _ in range(31):
             cand = theta + scale * step
             try:
-                cand_ll = loglik(cand, X, y_f)
+                cand_ll = _loglik(cand, X, y_f, lfact)
             except DivergenceError:
                 cand_ll = -np.inf
             if cand_ll > ll or (cand_ll == ll and scale == 1.0):
@@ -288,7 +298,7 @@ def fit(X, y, init=None, tol: float = 1e-8, max_iter: int = 100,
             cand = theta + step
             if np.max(np.abs(score(cand, X, y_f))) < np.max(np.abs(g)):
                 theta = cand
-                ll = loglik(theta, X, y_f)
+                ll = _loglik(theta, X, y_f, lfact)
                 continue
             raise NonConvergenceError(
                 "no improving Newton step found", theta=theta, iterations=iterations)
@@ -302,7 +312,7 @@ def fit(X, y, init=None, tol: float = 1e-8, max_iter: int = 100,
     rates = np.exp(_linear_predictor(theta, X))
     residuals = (y_f - rates) / np.sqrt(rates)
     info = expected_info(theta, X)
-    ll = loglik(theta, X, y_f)
+    ll = _loglik(theta, X, y_f, lfact)
     return GlmFit(
         theta=theta,
         info_observed=info,

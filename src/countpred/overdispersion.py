@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, DomainError, SingularityError
+from .errors import DesignError, DivergenceError, DomainError, SingularityError
 from .glm import _EXP_LIMIT, GlmFit, region_regression
 from .regions import PredictionRegion, _interval_region
 from .special import normal_quantile
@@ -162,13 +162,18 @@ def sandwich_covariance(base_fit: GlmFit, xi: float, X=None, y=None) -> np.ndarr
     conditioned even when the columns of X are nearly collinear.  The
     sandwich is equivariant under theta -> R theta, so mapping back
     with T = diag(R^-1, 1) gives the same estimator in the caller's
-    basis, T (Omega_Q^-1 Sigma_Q Omega_Q^-T) T'.  A rank-deficient X
-    raises SingularityError.
+    basis, T (Omega_Q^-1 Sigma_Q Omega_Q^-T) T'.  An X whose columns do
+    not match theta, or a y whose length does not match the rows of X,
+    raises DesignError; a rank-deficient X raises SingularityError.
     """
     if not math.isfinite(xi) or xi <= 0:
         raise DomainError(f"sandwich_covariance requires finite xi > 0, got {xi}")
     X = base_fit.X if X is None else np.asarray(X, dtype=np.float64)
     y = base_fit.y if y is None else np.asarray(y)
+    if X.ndim != 2 or X.shape[1] != base_fit.theta.size or y.shape != (X.shape[0],):
+        raise DesignError(
+            f"sandwich_covariance needs X with {base_fit.theta.size} columns and "
+            f"one y per row; got X {X.shape}, y {y.shape}")
     k = X.shape[1]
     Q, R = np.linalg.qr(X)
     diag = np.abs(np.diag(R))

@@ -16,7 +16,7 @@ are represented as dense log-mass arrays over a truncated support.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,6 +39,8 @@ __all__ = [
     "pmf_umvue",
     "pmf_gamma_predictive",
     "region_smallest",
+    "build_smallest",
+    "realize",
     "region_nonrandomized",
     "region_normal_known",
     "region_sqrt_known",
@@ -53,6 +55,10 @@ __all__ = [
 # Relative tolerance for declaring two log-masses tied.  Exact ties are
 # real (integer rates give p(k-1) = p(k)) but arrive with rounding.
 TIE_RTOL = 1e-12
+
+# ln k! for k = 0, 1, ...; entry k is math.lgamma(k + 1), grown on demand
+# by _log_factorials.
+_LOG_FACTORIALS = np.empty(0)
 
 
 @dataclass(frozen=True)
@@ -155,8 +161,29 @@ def pmf_taylor(n: int, t: int) -> EstimatedPmf:
     return EstimatedPmf(logm, hi, "Taylor", fallback=bool(bad.any()))
 
 
+def _log_factorials(m: int) -> np.ndarray:
+    """Table of ln k! covering k = 0..m (it may be longer).
+
+    Entries are math.lgamma(k + 1), computed once per process, so a
+    value never depends on the order in which tables were requested.
+    """
+    global _LOG_FACTORIALS
+    table = _LOG_FACTORIALS
+    if table.size <= m:
+        grown = max(m + 1, 2 * table.size)
+        tail = np.array([math.lgamma(k + 1) for k in range(table.size, grown)])
+        table = np.concatenate([table, tail])
+        _LOG_FACTORIALS = table
+    return table
+
+
 def pmf_umvue(n: int, t: int) -> EstimatedPmf:
-    """Unbiased pmf estimate: binomial(t, 1/n) masses on {0..t}."""
+    """Unbiased pmf estimate: binomial(t, 1/n) masses on {0..t}.
+
+    The log binomial coefficients are ln t! - ln k! - ln (t-k)!, read
+    from a process-wide table of math.lgamma(k + 1) values that grows to
+    cover the largest t seen; the values equal per-call lgamma calls.
+    """
     if n < 1:
         raise DomainError(f"pmf_umvue requires n >= 1, got {n}")
     if t < 0:
@@ -166,9 +193,8 @@ def pmf_umvue(n: int, t: int) -> EstimatedPmf:
         logm[t] = 0.0
         return EstimatedPmf(logm, t, "UMVUE")
     ks = np.arange(t + 1, dtype=np.float64)
-    lchoose = (math.lgamma(t + 1)
-               - np.array([math.lgamma(k + 1) for k in range(t + 1)])
-               - np.array([math.lgamma(t - k + 1) for k in range(t + 1)]))
+    table = _log_factorials(t)
+    lchoose = math.lgamma(t + 1) - table[:t + 1] - table[t::-1]
     logm = lchoose + ks * math.log(1.0 / n) + (t - ks) * math.log1p(-1.0 / n)
     return EstimatedPmf(logm, t, "UMVUE")
 
@@ -290,17 +316,24 @@ def _group_scan(log_mass: np.ndarray, target: float):
     return core, boundary, gamma, cum_before
 
 
-def region_smallest(pmf: EstimatedPmf, alpha: float, u: float) -> PredictionRegion:
-    """Smallest-cardinality region with randomized boundary inclusion.
+def _folded_bounds(region: PredictionRegion) -> tuple[int, int]:
+    """Bounds of core ∪ boundary for a region with a nonempty boundary."""
+    if region.core_hi >= region.core_lo:
+        return (min(region.core_lo, region.boundary[0]),
+                max(region.core_hi, region.boundary[-1]))
+    return region.boundary[0], region.boundary[-1]
+
+
+def build_smallest(pmf: EstimatedPmf, alpha: float) -> PredictionRegion:
+    """The smallest-cardinality region before the randomizer is applied.
 
     Keeps the most probable values until the next tie group would push
-    the captured mass past 1 - alpha; that group is included only when
-    u <= gamma, with gamma chosen so randomized coverage under ``pmf``
-    is exactly 1 - alpha.
+    the captured mass past 1 - alpha; that group becomes the boundary,
+    with inclusion probability gamma chosen so randomized coverage
+    under ``pmf`` is exactly 1 - alpha.  The realized bounds are those
+    of the core alone; ``realize`` applies a uniform draw.
     """
     _check_alpha(alpha)
-    if not 0.0 <= u <= 1.0:
-        raise DomainError(f"u must lie in [0, 1], got {u}")
     target = 1.0 - alpha
     core, boundary, gamma, _ = _group_scan(np.asarray(pmf.log_mass), target)
     if core.size:
@@ -310,25 +343,41 @@ def region_smallest(pmf: EstimatedPmf, alpha: float, u: float) -> PredictionRegi
     else:
         core_lo, core_hi = 0, -1
         core_set = None
-    include = boundary.size > 0 and u <= gamma
-    if include:
-        realized_lo = min(core_lo, int(boundary.min())) if core.size else int(boundary.min())
-        realized_hi = max(core_hi, int(boundary.max())) if core.size else int(boundary.max())
-    elif core.size:
-        realized_lo, realized_hi = core_lo, core_hi
-    else:
-        realized_lo, realized_hi = 0, -1
     return PredictionRegion(
         core_lo=core_lo,
         core_hi=core_hi,
         boundary=tuple(sorted(int(k) for k in boundary)),
         boundary_prob=float(gamma) if boundary.size else 0.0,
-        realized_lo=realized_lo,
-        realized_hi=realized_hi,
+        realized_lo=core_lo,
+        realized_hi=core_hi,
         level=target,
-        length=float(max(0, realized_hi - realized_lo)),
+        length=float(max(0, core_hi - core_lo)),
         core_set=core_set,
     )
+
+
+def realize(region: PredictionRegion, u: float) -> PredictionRegion:
+    """Apply the uniform draw u to a region from build_smallest.
+
+    The boundary is included when u <= boundary_prob; otherwise the
+    region is returned as built.
+    """
+    if not 0.0 <= u <= 1.0:
+        raise DomainError(f"u must lie in [0, 1], got {u}")
+    if not region.boundary or u > region.boundary_prob:
+        return region
+    lo, hi = _folded_bounds(region)
+    return replace(region, realized_lo=lo, realized_hi=hi,
+                   length=float(max(0, hi - lo)))
+
+
+def region_smallest(pmf: EstimatedPmf, alpha: float, u: float) -> PredictionRegion:
+    """Smallest-cardinality region with randomized boundary inclusion.
+
+    ``realize(build_smallest(pmf, alpha), u)``: the boundary tie group
+    is included only when u <= gamma.
+    """
+    return realize(build_smallest(pmf, alpha), u)
 
 
 def region_nonrandomized(region: PredictionRegion) -> PredictionRegion:
@@ -339,10 +388,7 @@ def region_nonrandomized(region: PredictionRegion) -> PredictionRegion:
     """
     if not region.boundary:
         return region
-    lo = min(region.core_lo, region.boundary[0]) if region.core_hi >= region.core_lo \
-        else region.boundary[0]
-    hi = max(region.core_hi, region.boundary[-1]) if region.core_hi >= region.core_lo \
-        else region.boundary[-1]
+    lo, hi = _folded_bounds(region)
     return PredictionRegion(
         core_lo=lo, core_hi=hi, boundary=(), boundary_prob=0.0,
         realized_lo=lo, realized_hi=hi, level=region.level,
@@ -437,10 +483,7 @@ def exact_region_properties(region: PredictionRegion, lam: float) -> tuple[float
     coverage = core_mass + gamma * bound_mass
     core_len = float(max(0, region.core_hi - region.core_lo))
     if region.boundary:
-        lo = min(region.core_lo, region.boundary[0]) if region.core_hi >= region.core_lo \
-            else region.boundary[0]
-        hi = max(region.core_hi, region.boundary[-1]) if region.core_hi >= region.core_lo \
-            else region.boundary[-1]
+        lo, hi = _folded_bounds(region)
         incl_len = float(max(0, hi - lo))
     else:
         incl_len = core_len

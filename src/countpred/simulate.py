@@ -7,6 +7,14 @@ and responses, fit, build the three holdout regions).  Replication r of
 a run seeded s uses its own generator derived from (s, r), and results
 are reduced in replication order over fixed-size chunks, so output is
 bit-identical no matter how many worker processes evaluate the chunks.
+
+The six no-covariate regions depend on the data only through the
+sufficient statistic T and the uniform draw u, and u only decides
+whether a region's boundary group is included.  Each chunk therefore
+builds the regions once per distinct T, in a cache local to the chunk,
+and each replication only applies its own u to them.  The cache holds
+values that do not depend on which replications filled it, so the
+results stay the same for every worker count.
 """
 
 from __future__ import annotations
@@ -25,14 +33,15 @@ from .errors import (
 )
 from .glm import DesignSpec, build_design, design_row, fit, region_regression
 from .regions import (
+    build_smallest,
     hyper_from_mean_sd,
     pmf_gamma_predictive,
     pmf_plugin_ml,
     pmf_taylor,
     pmf_umvue,
+    realize,
     region_adjusted_normal,
     region_adjusted_sqrt,
-    region_smallest,
 )
 
 __all__ = [
@@ -169,27 +178,33 @@ def gen_poisson_regression_data(p, theta, w_dist, n, seed):
     return (y, powers[:n]), (y0, powers[n])
 
 
+def _intercept_regions(n: int, t: int, alpha: float):
+    """The six estimated-rate regions for total t, before the uniform draw."""
+    return (
+        build_smallest(pmf_plugin_ml(n, t), alpha),
+        region_adjusted_normal(n, t, alpha),
+        region_adjusted_sqrt(n, t, alpha),
+        build_smallest(pmf_taylor(n, t) if t >= 1 else pmf_plugin_ml(n, t), alpha),
+        build_smallest(pmf_umvue(n, t), alpha),
+        build_smallest(pmf_gamma_predictive(n, t, PRIOR_KAPPA, PRIOR_BETA), alpha),
+    )
+
+
 def _intercept_chunk(args):
     seed, start, stop, n, lam, alpha = args
     m = stop - start
     covers = np.zeros((m, 6), dtype=np.uint8)
     lengths = np.zeros((m, 6), dtype=np.float64)
+    by_total = {}
     for j, rep in enumerate(range(start, stop)):
         rng = _rep_rng(seed, rep)
         t = poisson_sampler(n * lam, rng)
         y0 = poisson_sampler(lam, rng)
         u = rng.random()
-        regs = (
-            region_smallest(pmf_plugin_ml(n, t), alpha, u),
-            region_adjusted_normal(n, t, alpha),
-            region_adjusted_sqrt(n, t, alpha),
-            region_smallest(pmf_taylor(n, t) if t >= 1 else pmf_plugin_ml(n, t),
-                            alpha, u),
-            region_smallest(pmf_umvue(n, t), alpha, u),
-            region_smallest(pmf_gamma_predictive(n, t, PRIOR_KAPPA, PRIOR_BETA),
-                            alpha, u),
-        )
-        for i, r in enumerate(regs):
+        if t not in by_total:
+            by_total[t] = _intercept_regions(n, t, alpha)
+        for i, built in enumerate(by_total[t]):
+            r = realize(built, u)
             covers[j, i] = 1 if r.realized_contains(y0) else 0
             lengths[j, i] = max(0, r.realized_hi - r.realized_lo)
     return covers, lengths, 0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
+from countpred import glm
 from countpred import (
     DesignError,
     DesignSpec,
@@ -109,6 +110,25 @@ def test_fitted_total_matches_observed_total():
     X, y, _ = make_case(n=60, order=3)
     res = fit(X, y)
     assert res.fitted_rates.sum() == pytest.approx(float(y.sum()), abs=1e-6)
+
+
+def test_loglik_and_fit_keep_the_per_call_factorial_term(monkeypatch):
+    X, y, spec = make_case(n=60, order=3)
+    y_f = y.astype(np.float64)
+    theta = np.linalg.lstsq(X, np.log(y_f + 0.5), rcond=None)[0]
+    eta = X @ theta
+    direct = float(np.sum(y_f * eta - np.exp(eta)
+                          - np.array([math.lgamma(v + 1.0) for v in y_f])))
+    assert loglik(theta, X, y) == direct
+    hoisted = fit(X, y, design=spec)
+    # Reference: every line-search step recomputes ln y! from y.
+    hoisted_loglik = glm._loglik
+    monkeypatch.setattr(glm, "_loglik", lambda theta, X, y, lfact: hoisted_loglik(
+        theta, X, y, np.array([math.lgamma(v + 1.0) for v in y])))
+    reference = fit(X, y, design=spec)
+    assert np.array_equal(hoisted.theta, reference.theta)
+    assert hoisted.loglik == reference.loglik
+    assert hoisted.iterations == reference.iterations
 
 
 def test_fit_invariant_to_standardization():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from countpred import (
+    DesignError,
     DivergenceError,
     DomainError,
     OverdispersedFit,
@@ -105,6 +106,16 @@ def test_sandwich_rank_deficient_design_is_singular():
               base.X[:1]):                              # fewer rows than columns
         with pytest.raises(SingularityError):
             sandwich_covariance(base, xi, X=X, y=base.y[:X.shape[0]])
+
+
+def test_sandwich_mismatched_shapes_are_design_errors():
+    base = overdispersed_case(n=40)
+    xi = estimate_xi(base)
+    for X, y in ((base.X[:, :1], base.y),       # fewer columns than theta
+                 (base.X, base.y[:-1]),         # one y short of the rows of X
+                 (base.X[:, 0], base.y)):       # not a matrix
+        with pytest.raises(DesignError):
+            sandwich_covariance(base, xi, X=X, y=y)
 
 
 def test_region_nonfinite_or_negative_variance_diverges():

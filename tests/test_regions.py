@@ -7,6 +7,7 @@ import pytest
 import scipy.stats as st
 from hypothesis import given, settings, strategies as hs
 
+from countpred import regions
 from countpred import (
     DomainError,
     MomentFailure,
@@ -212,6 +213,25 @@ def test_umvue_is_binomial():
         np.testing.assert_allclose(np.exp(pmf.log_mass),
                                    st.binom(t, 1.0 / n).pmf(np.arange(t + 1)),
                                    rtol=1e-9, atol=1e-15)
+
+
+def umvue_log_mass_direct(n, t):
+    ks = np.arange(t + 1, dtype=np.float64)
+    lchoose = (math.lgamma(t + 1)
+               - np.array([math.lgamma(k + 1) for k in range(t + 1)])
+               - np.array([math.lgamma(t - k + 1) for k in range(t + 1)]))
+    return lchoose + ks * math.log(1.0 / n) + (t - ks) * math.log1p(-1.0 / n)
+
+
+def test_umvue_log_mass_independent_of_table_growth(monkeypatch):
+    grid = [(2, 1), (3, 7), (7, 64), (25, 100), (100, 999), (100, 10_437)]
+    for order in (grid[::-1] + grid, grid):
+        # Start from an empty table: large-first grows it once, small-first
+        # grows it step by step; either way no value may change.
+        monkeypatch.setattr(regions, "_LOG_FACTORIALS", np.empty(0))
+        for n, t in order:
+            assert np.array_equal(pmf_umvue(n, t).log_mass,
+                                  umvue_log_mass_direct(n, t)), (n, t)
 
 
 def test_umvue_unbiasedness_brute_force():

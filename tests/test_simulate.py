@@ -5,7 +5,16 @@ import numpy as np
 import pytest
 
 from countpred.errors import DomainError
-from countpred.regions import hyper_from_mean_sd
+from countpred.regions import (
+    hyper_from_mean_sd,
+    pmf_gamma_predictive,
+    pmf_plugin_ml,
+    pmf_taylor,
+    pmf_umvue,
+    region_adjusted_normal,
+    region_adjusted_sqrt,
+    region_smallest,
+)
 from countpred.simulate import (
     INTERCEPT_REGIONS,
     PRIOR_BETA,
@@ -13,6 +22,8 @@ from countpred.simulate import (
     REGRESSION_CASES,
     REGRESSION_REGIONS,
     SimConfig,
+    _intercept_chunk,
+    _rep_rng,
     gen_poisson_regression_data,
     poisson_sampler,
     result_to_csv,
@@ -62,6 +73,43 @@ def test_intercept_worker_count_invariant():
                for w in (1, 4, 8)]
     csvs = {result_to_csv(r) for r in results}
     assert len(csvs) == 1, "worker count leaked into the results"
+
+
+def reference_intercept_chunk(seed, start, stop, n, lam, alpha):
+    """All six regions built from scratch for every replication."""
+    covers, lengths = [], []
+    for rep in range(start, stop):
+        rng = _rep_rng(seed, rep)
+        t = poisson_sampler(n * lam, rng)
+        y0 = poisson_sampler(lam, rng)
+        u = rng.random()
+        regs = (
+            region_smallest(pmf_plugin_ml(n, t), alpha, u),
+            region_adjusted_normal(n, t, alpha),
+            region_adjusted_sqrt(n, t, alpha),
+            region_smallest(pmf_taylor(n, t) if t >= 1 else pmf_plugin_ml(n, t),
+                            alpha, u),
+            region_smallest(pmf_umvue(n, t), alpha, u),
+            region_smallest(pmf_gamma_predictive(n, t, PRIOR_KAPPA, PRIOR_BETA),
+                            alpha, u),
+        )
+        covers.append([1 if r.realized_contains(y0) else 0 for r in regs])
+        lengths.append([max(0, r.realized_hi - r.realized_lo) for r in regs])
+    return np.array(covers, dtype=np.uint8), np.array(lengths, dtype=np.float64)
+
+
+@pytest.mark.parametrize("n, lam, alpha", [
+    (5, 0.2, 0.05),    # n*lam = 1: T = 0 is the most likely total
+    (1, 3.0, 0.05),    # n = 1: the unbiased pmf is a point mass
+    (5, 2.0, 0.1),     # (T+1)/n and T/n integer for many T: tied masses
+    (50, 5.0, 0.05),
+])
+def test_intercept_chunk_matches_per_replication_build(n, lam, alpha):
+    covers, lengths, redraws = _intercept_chunk((777, 10, 410, n, lam, alpha))
+    ref_covers, ref_lengths = reference_intercept_chunk(777, 10, 410, n, lam, alpha)
+    assert redraws == 0
+    assert np.array_equal(covers, ref_covers)
+    assert np.array_equal(lengths, ref_lengths)
 
 
 def test_intercept_coverage_band_at_half_alpha():
