@@ -52,7 +52,6 @@ from .glm import (
 from .overdispersion import (
     OverdispersedFit,
     estimate_xi,
-    estimate_xi_nr,
     fit_overdispersed,
     gen_frailty_counts,
     overdispersed_moments,

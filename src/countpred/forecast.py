@@ -24,6 +24,7 @@ from .errors import (
 )
 from .glm import DesignSpec, GlmFit, build_design, design_row, fit, region_regression
 from .overdispersion import OverdispersedFit, fit_overdispersed, region_overdispersed
+from .regions import _check_alpha
 
 __all__ = [
     "DayForecast",
@@ -71,8 +72,7 @@ class SweepRow:
 
 def alpha_star(alpha: float, horizon: int) -> float:
     """Per-day level making H daily intervals jointly cover 1 - alpha."""
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie strictly between 0 and 1, got {alpha}")
+    _check_alpha(alpha)
     if horizon < 1:
         raise HorizonError(f"horizon must be >= 1, got {horizon}")
     return 1.0 - (1.0 - alpha) ** (1.0 / horizon)

@@ -24,8 +24,15 @@ from .errors import (
     NonConvergenceError,
     SingularityError,
 )
-from .regions import PredictionRegion, _interval_region, pmf_poisson, region_smallest
-from .special import chisq_sf, normal_quantile
+from .regions import (
+    PredictionRegion,
+    _check_alpha,
+    _normal_interval,
+    _sqrt_interval,
+    pmf_poisson,
+    region_smallest,
+)
+from .special import chisq_sf
 
 __all__ = [
     "DesignSpec",
@@ -328,17 +335,29 @@ def fit(X, y, init=None, tol: float = 1e-8, max_iter: int = 100,
     )
 
 
+def _predicted_rate(theta: np.ndarray, x0) -> tuple[np.ndarray, float]:
+    """The row x0 as a float array and the rate exp(x0 theta) there.
+
+    A row whose length differs from theta's raises DesignError; a
+    linear predictor past the exp limit raises DivergenceError.
+    """
+    x0 = np.asarray(x0, dtype=np.float64)
+    if x0.shape != theta.shape:
+        raise DesignError(
+            f"prediction row has shape {x0.shape}; the fit has {theta.size} parameters")
+    eta0 = float(x0 @ theta)
+    if eta0 > _EXP_LIMIT:
+        raise DivergenceError("prediction point overflows exp")
+    return x0, math.exp(eta0)
+
+
 def rate_and_variance(fit_: GlmFit, x0) -> tuple[float, float]:
     """Predicted rate exp(x0 theta) and its pivotal variance factor.
 
     The factor is 1 + rate * x0' I(theta)^-1 x0; for an intercept-only
     design it reduces to 1 + 1/n.
     """
-    x0 = np.asarray(x0, dtype=np.float64)
-    eta0 = float(x0 @ fit_.theta)
-    if eta0 > _EXP_LIMIT:
-        raise DivergenceError("prediction point overflows exp")
-    lam0 = math.exp(eta0)
+    x0, lam0 = _predicted_rate(fit_.theta, x0)
     quad = float(x0 @ _spd_solve(fit_.info_observed, x0))
     return lam0, 1.0 + lam0 * quad
 
@@ -351,21 +370,15 @@ def region_regression(fit_: GlmFit, x0, alpha: float, variant: str,
     the pivotal variance factor; ``smallest-plugin`` enumerates the
     plug-in pmf at the predicted rate and ignores that factor.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie strictly between 0 and 1, got {alpha}")
+    _check_alpha(alpha)
     lam0, vhat = rate_and_variance(fit_, x0)
-    z = normal_quantile(1.0 - alpha / 2.0)
     if variant == "normal":
-        half = z * math.sqrt(lam0 * vhat)
-        return _interval_region(max(0.0, lam0 - half), lam0 + half, alpha)
+        return _normal_interval(lam0, lam0 * vhat, alpha)
     if variant == "sqrt":
-        c = z * math.sqrt(vhat / 4.0)
-        s = math.sqrt(lam0)
-        return _interval_region(max(0.0, s - c) ** 2, (s + c) ** 2, alpha)
+        return _sqrt_interval(lam0, vhat, alpha)
     if variant == "smallest-plugin":
         if lam0 > _ENUM_LIMIT:
-            half = z * math.sqrt(lam0)
-            return _interval_region(max(0.0, lam0 - half), lam0 + half, alpha)
+            return _normal_interval(lam0, lam0, alpha)
         return region_smallest(pmf_poisson(lam0), alpha, u)
     raise DomainError(f"unknown region variant: {variant!r}")
 

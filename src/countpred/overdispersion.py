@@ -4,14 +4,13 @@ A latent unit-mean gamma multiplier with variance 1/xi inflates the
 Poisson variance to lambda * (1 + (1 + lambda)/xi).  Estimation is two
 stage: the rate parameters come from the plain Poisson fit (the first
 estimating equation), then xi solves the second moment equation, which
-is linear in 1/xi and so has a closed form.  A one-variable Newton
-iteration is kept as a cross-check.  The joint sandwich covariance of
-(theta, xi) feeds the prediction interval, which widens the plain
-normal interval by the frailty variance and the parameter-uncertainty
-term.  Its factors are assembled and inverted in the orthonormal basis
-of the design's QR factorization and mapped back to the caller's
-basis, so the interval does not depend on how well the polynomial
-columns are conditioned.
+is linear in 1/xi and so has a closed form.  The joint sandwich
+covariance of (theta, xi) feeds the prediction interval, which widens
+the plain normal interval by the frailty variance and the
+parameter-uncertainty term.  Its factors are assembled and inverted in
+the orthonormal basis of the design's QR factorization and mapped back
+to the caller's basis, so the interval does not depend on how well the
+polynomial columns are conditioned.
 """
 
 from __future__ import annotations
@@ -22,15 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DesignError, DivergenceError, DomainError, SingularityError
-from .glm import _EXP_LIMIT, GlmFit, region_regression
-from .regions import PredictionRegion, _interval_region
-from .special import normal_quantile
+from .glm import GlmFit, _predicted_rate, region_regression
+from .regions import PredictionRegion, _check_alpha, _normal_interval
 
 __all__ = [
     "OverdispersedFit",
     "overdispersed_moments",
     "estimate_xi",
-    "estimate_xi_nr",
     "sandwich_covariance",
     "fit_overdispersed",
     "region_overdispersed",
@@ -84,49 +81,6 @@ def estimate_xi(base_fit: GlmFit) -> float:
     if denom <= 0.0:
         return math.inf
     return float(np.sum(rates * (1.0 + rates))) / denom
-
-
-def estimate_xi_nr(base_fit: GlmFit, start: float | None = None,
-                   tol: float = 1e-12, max_iter: int = 200) -> float:
-    """One-variable Newton iteration for xi; cross-checks the closed form.
-
-    The moment equation is hyperbolic in xi, so a plain Newton step from
-    above the root lands at or below zero; steps are halved until the
-    equation residual shrinks.
-    """
-    rates = base_fit.fitted_rates
-    y = base_fit.y.astype(np.float64)
-    n = rates.size
-    excess = float(np.sum((y - rates) ** 2 - rates))
-    if excess <= 0.0:
-        return math.inf
-
-    scale = float(np.sum(rates * (1.0 + rates)))
-
-    def g(x: float) -> float:
-        return (excess - scale / x) / n
-
-    if start is None:
-        start = 2.0 * scale / excess
-    xi = float(start)
-    gx = g(xi)
-    for _ in range(max_iter):
-        dg = scale / (n * xi * xi)
-        step = gx / dg
-        frac = 1.0
-        for _ in range(60):
-            cand = xi - frac * step
-            if cand > 0:
-                gc = g(cand)
-                if abs(gc) <= abs(gx):
-                    break
-            frac *= 0.5
-        else:
-            return xi
-        if abs(cand - xi) <= tol * max(1.0, abs(cand)):
-            return cand
-        xi, gx = cand, gc
-    return xi
 
 
 def _assemble_factors(theta, xi, X, y):
@@ -217,25 +171,18 @@ def region_overdispersed(fit_: OverdispersedFit, x0, alpha: float) -> Prediction
     prediction point that overflows exp, or a variance that comes out
     negative or not finite, raises DivergenceError.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie strictly between 0 and 1, got {alpha}")
+    _check_alpha(alpha)
     if math.isinf(fit_.xi):
         return region_regression(fit_.base_fit, x0, alpha, "normal")
-    x0 = np.asarray(x0, dtype=np.float64)
+    x0, lam0 = _predicted_rate(fit_.theta, x0)
     n = fit_.base_fit.X.shape[0]
     k = x0.size
-    eta0 = float(x0 @ fit_.theta)
-    if eta0 > _EXP_LIMIT:
-        raise DivergenceError("prediction point overflows exp")
-    lam0 = math.exp(eta0)
     xi11 = fit_.sandwich[:k, :k]
     var = (lam0 * (1.0 + lam0) / fit_.xi + lam0
            + lam0 * lam0 * float(x0 @ xi11 @ x0) / n)
     if not 0.0 <= var < math.inf:
         raise DivergenceError(f"prediction variance is negative or not finite: {var}")
-    z = normal_quantile(1.0 - alpha / 2.0)
-    half = z * math.sqrt(var)
-    return _interval_region(max(0.0, lam0 - half), lam0 + half, alpha)
+    return _normal_interval(lam0, var, alpha)
 
 
 def gen_frailty_counts(rates, xi: float, rng: np.random.Generator) -> np.ndarray:

@@ -148,8 +148,9 @@ def pmf_taylor(n: int, t: int) -> EstimatedPmf:
     if t < 1:
         raise DomainError(f"pmf_taylor requires t >= 1, got {t}")
     rate = t / n
-    hi = poisson_upper_support(rate)
-    base = np.exp(poisson_log_pmf_vector(hi, rate))
+    plugin = pmf_poisson(rate)
+    hi = plugin.support_hi
+    base = np.exp(plugin.log_mass)
     ks = np.arange(hi + 1, dtype=np.float64)
     bracket = (1.0 - ks / rate) ** 2 - ks / rate**2
     denom = 1.0 + 0.5 * bracket * rate / n
@@ -409,14 +410,28 @@ def _interval_region(lower: float, upper: float, alpha: float) -> PredictionRegi
         length=float(upper - lower), core_set=None)
 
 
+def _normal_interval(center: float, var: float, alpha: float) -> PredictionRegion:
+    """center +- z sqrt(var), clipped at 0, with z the 1 - alpha/2 quantile."""
+    half = normal_quantile(1.0 - alpha / 2.0) * math.sqrt(var)
+    return _interval_region(max(0.0, center - half), center + half, alpha)
+
+
+def _sqrt_interval(rate: float, v: float, alpha: float) -> PredictionRegion:
+    """Normal limits sqrt(rate) +- z sqrt(v/4) on the sqrt scale, squared.
+
+    sqrt(Y) has variance about v/4 when Y has variance rate * v.
+    """
+    c = normal_quantile(1.0 - alpha / 2.0) * math.sqrt(v / 4.0)
+    s = math.sqrt(rate)
+    return _interval_region(max(0.0, s - c) ** 2, (s + c) ** 2, alpha)
+
+
 def region_normal_known(lam: float, alpha: float) -> PredictionRegion:
     """Central normal-approximation interval for a known rate."""
     _check_alpha(alpha)
     if lam <= 0:
         raise DomainError(f"region_normal_known requires lam > 0, got {lam}")
-    z = normal_quantile(1.0 - alpha / 2.0)
-    half = z * math.sqrt(lam)
-    return _interval_region(max(0.0, lam - half), lam + half, alpha)
+    return _normal_interval(lam, lam, alpha)
 
 
 def region_sqrt_known(lam: float, alpha: float) -> PredictionRegion:
@@ -424,11 +439,7 @@ def region_sqrt_known(lam: float, alpha: float) -> PredictionRegion:
     _check_alpha(alpha)
     if lam <= 0:
         raise DomainError(f"region_sqrt_known requires lam > 0, got {lam}")
-    z = normal_quantile(1.0 - alpha / 2.0)
-    s = math.sqrt(lam)
-    lower = max(0.0, s - z / 2.0) ** 2
-    upper = (s + z / 2.0) ** 2
-    return _interval_region(lower, upper, alpha)
+    return _sqrt_interval(lam, 1.0, alpha)
 
 
 def region_adjusted_normal(n: int, t: int, alpha: float) -> PredictionRegion:
@@ -442,9 +453,7 @@ def region_adjusted_normal(n: int, t: int, alpha: float) -> PredictionRegion:
     if t < 0:
         raise DomainError(f"region_adjusted_normal requires t >= 0, got {t}")
     rate = t / n
-    z = normal_quantile(1.0 - alpha / 2.0)
-    half = z * math.sqrt(rate * (1.0 + 1.0 / n))
-    return _interval_region(max(0.0, rate - half), rate + half, alpha)
+    return _normal_interval(rate, rate * (1.0 + 1.0 / n), alpha)
 
 
 def region_adjusted_sqrt(n: int, t: int, alpha: float) -> PredictionRegion:
@@ -454,13 +463,7 @@ def region_adjusted_sqrt(n: int, t: int, alpha: float) -> PredictionRegion:
         raise DomainError(f"region_adjusted_sqrt requires n >= 1, got {n}")
     if t < 0:
         raise DomainError(f"region_adjusted_sqrt requires t >= 0, got {t}")
-    rate = t / n
-    z = normal_quantile(1.0 - alpha / 2.0)
-    c = z * math.sqrt(0.25 * (1.0 + 1.0 / n))
-    s = math.sqrt(rate)
-    lower = max(0.0, s - c) ** 2
-    upper = (s + c) ** 2
-    return _interval_region(lower, upper, alpha)
+    return _sqrt_interval(t / n, 1.0 + 1.0 / n, alpha)
 
 
 def exact_region_properties(region: PredictionRegion, lam: float) -> tuple[float, float]:

@@ -11,12 +11,12 @@ from countpred import (
     DomainError,
     OverdispersedFit,
     estimate_xi,
-    estimate_xi_nr,
     expected_info,
     fit,
     fit_overdispersed,
     gen_frailty_counts,
     overdispersed_moments,
+    rate_and_variance,
     region_overdispersed,
     region_regression,
     sandwich_covariance,
@@ -53,13 +53,11 @@ def test_estimate_xi_closed_form():
     y = base.y.astype(float)
     want = np.sum(rates * (1 + rates)) / np.sum((y - rates) ** 2 - rates)
     assert estimate_xi(base) == pytest.approx(want, rel=1e-12)
-    assert estimate_xi_nr(base) == pytest.approx(want, rel=1e-8)
 
 
 def test_estimate_xi_underdispersed_sentinel():
     base = fit(np.ones((4, 1)), [5, 5, 5, 5])    # residuals identically zero
     assert estimate_xi(base) == math.inf
-    assert estimate_xi_nr(base) == math.inf
     od = fit_overdispersed(base)
     assert od.xi == math.inf and od.sandwich is None
 
@@ -116,6 +114,19 @@ def test_sandwich_mismatched_shapes_are_design_errors():
                  (base.X[:, 0], base.y)):       # not a matrix
         with pytest.raises(DesignError):
             sandwich_covariance(base, xi, X=X, y=y)
+
+
+def test_prediction_row_of_wrong_length_is_a_design_error():
+    base = overdispersed_case(n=40)
+    od = fit_overdispersed(base)
+    assert math.isfinite(od.xi)
+    for x0 in ([1.0], [1.0, 0.5, 0.25], [[1.0, 0.5]]):
+        with pytest.raises(DesignError):
+            rate_and_variance(base, x0)
+        with pytest.raises(DesignError):
+            region_regression(base, x0, 0.05, "sqrt")
+        with pytest.raises(DesignError):
+            region_overdispersed(od, x0, 0.05)
 
 
 def test_region_nonfinite_or_negative_variance_diverges():

@@ -7,11 +7,15 @@ import pytest
 import scipy.stats as st
 from hypothesis import given, settings, strategies as hs
 
-from countpred import regions
+from countpred import glm, regions
 from countpred import (
     DomainError,
     MomentFailure,
+    PredictionRegion,
     exact_region_properties,
+    fit,
+    fit_overdispersed,
+    gen_frailty_counts,
     hyper_from_mean_sd,
     marginal_log_likelihood,
     mom_gamma,
@@ -24,9 +28,12 @@ from countpred import (
     region_adjusted_sqrt,
     region_nonrandomized,
     region_normal_known,
+    region_overdispersed,
+    region_regression,
     region_smallest,
     region_sqrt_known,
 )
+from countpred.special import normal_quantile
 
 Z975 = 1.959963984540054
 
@@ -316,6 +323,79 @@ def test_adjusted_sqrt_intervals():
     # same real-interval length as the normal variant once unclamped
     assert region_adjusted_sqrt(10, 4000, 0.05).length == pytest.approx(
         region_adjusted_normal(10, 4000, 0.05).length, abs=1e-9)
+
+
+# ----------------------------------- closed-form regions, bit for bit
+
+PIN_ALPHAS = (0.1, 0.05, 0.01)
+
+
+def pinned_region(lower, upper, alpha):
+    """The region each closed-form interval has always been mapped to."""
+    lo, hi = math.ceil(lower), math.floor(upper)
+    if hi < lo:
+        lo, hi = 0, -1
+    return PredictionRegion(
+        core_lo=lo, core_hi=hi, boundary=(), boundary_prob=0.0,
+        realized_lo=lo, realized_hi=hi, level=1.0 - alpha,
+        length=float(upper - lower), core_set=None)
+
+
+def pinned_normal(center, half, alpha):
+    return pinned_region(max(0.0, center - half), center + half, alpha)
+
+
+def pinned_sqrt(s, c, alpha):
+    return pinned_region(max(0.0, s - c) ** 2, (s + c) ** 2, alpha)
+
+
+@pytest.mark.parametrize("alpha", PIN_ALPHAS)
+def test_closed_form_rate_regions_are_pinned(alpha):
+    z = normal_quantile(1.0 - alpha / 2.0)
+    for lam in (1e-3, 0.25, 1.0, 7.5, 100.0, 2e6):
+        assert region_normal_known(lam, alpha) == \
+            pinned_normal(lam, z * math.sqrt(lam), alpha)
+        assert region_sqrt_known(lam, alpha) == \
+            pinned_sqrt(math.sqrt(lam), z / 2.0, alpha)
+    for n, t in ((1, 0), (1, 1), (1, 17), (10, 0), (10, 50), (7, 3), (1000, 12345)):
+        rate = t / n
+        assert region_adjusted_normal(n, t, alpha) == \
+            pinned_normal(rate, z * math.sqrt(rate * (1.0 + 1.0 / n)), alpha)
+        assert region_adjusted_sqrt(n, t, alpha) == \
+            pinned_sqrt(math.sqrt(rate), z * math.sqrt(0.25 * (1.0 + 1.0 / n)), alpha)
+
+
+@pytest.mark.parametrize("alpha", PIN_ALPHAS)
+def test_closed_form_fit_regions_are_pinned(alpha):
+    z = normal_quantile(1.0 - alpha / 2.0)
+    r = np.random.default_rng(2024)
+    w = np.linspace(0.0, 1.0, 40)
+    X = np.column_stack([np.ones(40), w, w * w])
+    quad = fit(X, r.poisson(np.exp(1.5 + 0.8 * w - 0.4 * w * w)))
+    huge = fit(np.ones((4, 1)), [2_000_000, 2_001_500, 1_999_000, 2_000_700])
+    for fit_, x0 in ((quad, np.array([1.0, 0.5, 0.25])),
+                     (quad, np.array([1.0, 1.1, 1.21])),
+                     (huge, np.array([1.0]))):
+        lam0 = math.exp(float(x0 @ fit_.theta))
+        vhat = 1.0 + lam0 * float(x0 @ np.linalg.solve(fit_.info_observed, x0))
+        assert region_regression(fit_, x0, alpha, "normal") == \
+            pinned_normal(lam0, z * math.sqrt(lam0 * vhat), alpha)
+        assert region_regression(fit_, x0, alpha, "sqrt") == \
+            pinned_sqrt(math.sqrt(lam0), z * math.sqrt(vhat / 4.0), alpha)
+        if lam0 > glm._ENUM_LIMIT:
+            assert region_regression(fit_, x0, alpha, "smallest-plugin", u=0.5) == \
+                pinned_normal(lam0, z * math.sqrt(lam0), alpha)
+    assert huge.fitted_rates[0] > glm._ENUM_LIMIT
+
+    counts = gen_frailty_counts(np.exp(1.5 + 0.8 * w), 2.0, r)
+    od = fit_overdispersed(fit(X[:, :2], counts))
+    assert math.isfinite(od.xi)
+    for x0 in (np.array([1.0, 0.3]), np.array([1.0, 1.2])):
+        lam0 = math.exp(float(x0 @ od.theta))
+        var = (lam0 * (1.0 + lam0) / od.xi + lam0
+               + lam0 * lam0 * float(x0 @ od.sandwich[:2, :2] @ x0) / 40)
+        assert region_overdispersed(od, x0, alpha) == \
+            pinned_normal(lam0, z * math.sqrt(var), alpha)
 
 
 # ------------------------------------------------- gamma prior utilities
