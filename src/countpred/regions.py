@@ -147,8 +147,12 @@ def pmf_taylor(n: int, t: int) -> EstimatedPmf:
         raise DomainError(f"pmf_taylor requires n >= 1, got {n}")
     if t < 1:
         raise DomainError(f"pmf_taylor requires t >= 1, got {t}")
+    return _taylor_from_plugin(pmf_poisson(t / n), n, t)
+
+
+def _taylor_from_plugin(plugin: EstimatedPmf, n: int, t: int) -> EstimatedPmf:
+    """pmf_taylor(n, t) from the already built plug-in pmf at rate t/n."""
     rate = t / n
-    plugin = pmf_poisson(rate)
     hi = plugin.support_hi
     base = np.exp(plugin.log_mass)
     ks = np.arange(hi + 1, dtype=np.float64)

@@ -5,22 +5,26 @@ total T and a future count, build all six estimated-rate regions, tally
 coverage and realized length) and the regression model (draw covariates
 and responses, fit, build the three holdout regions).  Replication r of
 a run seeded s uses its own generator derived from (s, r), and results
-are reduced in replication order over fixed-size chunks, so output is
-bit-identical no matter how many worker processes evaluate the chunks.
+are kept in replication order, so output is bit-identical no matter how
+many worker processes share the work.
 
 The six no-covariate regions depend on the data only through the
 sufficient statistic T and the uniform draw u, and u only decides
-whether a region's boundary group is included.  Each chunk therefore
-builds the regions once per distinct T, in a cache local to the chunk,
-and each replication only applies its own u to them.  The cache holds
-values that do not depend on which replications filled it, so the
-results stay the same for every worker count.
+whether a region's boundary group is included.  A run therefore draws
+(T, y0, u) for every replication first, then builds the six regions
+once per distinct T of the whole run and keeps a table row per T and
+region: the bounds without and with the boundary and its inclusion
+probability gamma.  Coverage and length of every replication are read
+from its total's row in one vectorized step.  A row depends only on
+(n, T, alpha), so the results stay the same for every worker count.
+Regression replications are fitted one at a time, in fixed-size chunks.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,13 +37,13 @@ from .errors import (
 )
 from .glm import DesignSpec, build_design, design_row, fit, region_regression
 from .regions import (
+    _folded_bounds,
+    _taylor_from_plugin,
     build_smallest,
     hyper_from_mean_sd,
     pmf_gamma_predictive,
     pmf_plugin_ml,
-    pmf_taylor,
     pmf_umvue,
-    realize,
     region_adjusted_normal,
     region_adjusted_sqrt,
 )
@@ -180,34 +184,72 @@ def gen_poisson_regression_data(p, theta, w_dist, n, seed):
 
 def _intercept_regions(n: int, t: int, alpha: float):
     """The six estimated-rate regions for total t, before the uniform draw."""
+    plugin = pmf_plugin_ml(n, t)
+    gam0 = build_smallest(plugin, alpha)
+    gam3 = build_smallest(_taylor_from_plugin(plugin, n, t), alpha) if t >= 1 else gam0
     return (
-        build_smallest(pmf_plugin_ml(n, t), alpha),
+        gam0,
         region_adjusted_normal(n, t, alpha),
         region_adjusted_sqrt(n, t, alpha),
-        build_smallest(pmf_taylor(n, t) if t >= 1 else pmf_plugin_ml(n, t), alpha),
+        gam3,
         build_smallest(pmf_umvue(n, t), alpha),
         build_smallest(pmf_gamma_predictive(n, t, PRIOR_KAPPA, PRIOR_BETA), alpha),
     )
 
 
-def _intercept_chunk(args):
-    seed, start, stop, n, lam, alpha = args
-    m = stop - start
-    covers = np.zeros((m, 6), dtype=np.uint8)
-    lengths = np.zeros((m, 6), dtype=np.float64)
-    by_total = {}
+def _intercept_draws(args):
+    """(t, y0, u) of each replication in start..stop-1, one row each."""
+    seed, start, stop, n, lam = args
+    counts = np.empty((stop - start, 2), dtype=np.int64)
+    u = np.empty(stop - start)
     for j, rep in enumerate(range(start, stop)):
         rng = _rep_rng(seed, rep)
-        t = poisson_sampler(n * lam, rng)
-        y0 = poisson_sampler(lam, rng)
-        u = rng.random()
-        if t not in by_total:
-            by_total[t] = _intercept_regions(n, t, alpha)
-        for i, built in enumerate(by_total[t]):
-            r = realize(built, u)
-            covers[j, i] = 1 if r.realized_contains(y0) else 0
-            lengths[j, i] = max(0, r.realized_hi - r.realized_lo)
-    return covers, lengths, 0
+        counts[j, 0] = poisson_sampler(n * lam, rng)
+        counts[j, 1] = poisson_sampler(lam, rng)
+        u[j] = rng.random()
+    return counts, u
+
+
+def _intercept_table(args):
+    """Per total and region: bounds (core lo, core hi, folded lo, folded hi)
+    and the boundary's inclusion probability gamma.
+
+    A region without a boundary has folded bounds equal to its core's, so
+    including "the boundary" leaves it as it is, as realize() does.
+    """
+    n, totals, alpha = args
+    bounds = np.empty((totals.size, 6, 4), dtype=np.int64)
+    gamma = np.empty((totals.size, 6))
+    for j, t in enumerate(totals):
+        for i, r in enumerate(_intercept_regions(n, int(t), alpha)):
+            core = (r.realized_lo, r.realized_hi)
+            bounds[j, i] = core + (_folded_bounds(r) if r.boundary else core)
+            gamma[j, i] = r.boundary_prob
+    return bounds, gamma
+
+
+def _intercept_reps(seed, start, stop, n, lam, alpha, workers=1):
+    """Covers and realized lengths of replications start..stop-1.
+
+    Draws every replication, builds the six regions once per distinct
+    total, then applies each replication's u and y0 to its total's row.
+    """
+    with _pool_map(workers) as pool_map:
+        draws = pool_map(_intercept_draws, [(seed, s, e, n, lam)
+                                            for s, e in _chunk_bounds(start, stop)])
+        counts = np.concatenate([c for c, _ in draws])
+        u = np.concatenate([v for _, v in draws])
+        totals, row = np.unique(counts[:, 0], return_inverse=True)
+        blocks = np.array_split(totals, min(workers, totals.size))
+        tables = pool_map(_intercept_table, [(n, b, alpha) for b in blocks])
+    bounds = np.concatenate([b for b, _ in tables])[row]
+    include = u[:, None] <= np.concatenate([g for _, g in tables])[row]
+    lo = np.where(include, bounds[..., 2], bounds[..., 0])
+    hi = np.where(include, bounds[..., 3], bounds[..., 1])
+    y0 = counts[:, 1:]
+    covers = ((lo <= y0) & (y0 <= hi)).astype(np.uint8)
+    lengths = np.maximum(hi - lo, 0).astype(np.float64)
+    return covers, lengths
 
 
 def _regression_chunk(args):
@@ -242,11 +284,14 @@ def _regression_chunk(args):
     return covers, lengths, redraws
 
 
-def _run_chunks(worker, arg_list, workers: int):
+@contextmanager
+def _pool_map(workers: int):
+    """A map over argument lists: in this process, or on a worker pool."""
     if workers <= 1:
-        return [worker(a) for a in arg_list]
+        yield lambda worker, arg_list: [worker(a) for a in arg_list]
+        return
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, arg_list))
+        yield lambda worker, arg_list: list(pool.map(worker, arg_list))
 
 
 def _reduce(config: SimConfig, region_names, chunk_results) -> SimResult:
@@ -265,8 +310,8 @@ def _reduce(config: SimConfig, region_names, chunk_results) -> SimResult:
                      stats=stats, redraws=redraws)
 
 
-def _chunk_bounds(total: int):
-    return [(s, min(s + _CHUNK, total)) for s in range(0, total, _CHUNK)]
+def _chunk_bounds(start: int, stop: int):
+    return [(s, min(s + _CHUNK, stop)) for s in range(start, stop, _CHUNK)]
 
 
 def run_intercept_experiment(config: SimConfig) -> SimResult:
@@ -277,10 +322,9 @@ def run_intercept_experiment(config: SimConfig) -> SimResult:
         raise DomainError("intercept scenario requires lam > 0")
     if config.replications < 1 or config.n < 1:
         raise DomainError("replications and n must be >= 1")
-    args = [(config.seed, s, e, config.n, config.lam, config.alpha)
-            for s, e in _chunk_bounds(config.replications)]
-    results = _run_chunks(_intercept_chunk, args, config.workers)
-    return _reduce(config, INTERCEPT_REGIONS, results)
+    covers, lengths = _intercept_reps(config.seed, 0, config.replications, config.n,
+                                      config.lam, config.alpha, config.workers)
+    return _reduce(config, INTERCEPT_REGIONS, [(covers, lengths, 0)])
 
 
 def run_regression_experiment(config: SimConfig) -> SimResult:
@@ -291,8 +335,9 @@ def run_regression_experiment(config: SimConfig) -> SimResult:
         raise DomainError("replications and n must be >= 1")
     p, theta, w_dist = _resolve_regression(config)
     args = [(config.seed, s, e, config.n, p, theta, w_dist, config.alpha)
-            for s, e in _chunk_bounds(config.replications)]
-    results = _run_chunks(_regression_chunk, args, config.workers)
+            for s, e in _chunk_bounds(0, config.replications)]
+    with _pool_map(config.workers) as pool_map:
+        results = pool_map(_regression_chunk, args)
     return _reduce(config, REGRESSION_REGIONS, results)
 
 

@@ -92,23 +92,45 @@ def poisson_cdf(w: float, lam: float) -> float:
 
 
 def poisson_upper_support(lam: float, tail_mass: float = TAIL_MASS) -> int:
-    """Smallest m with poisson_cdf(m, lam) >= 1 - tail_mass."""
+    """Smallest m with poisson_cdf(m, lam) >= 1 - tail_mass.
+
+    The search starts from the Cornish-Fisher estimate of the quantile,
+    gallops away from it in doubling steps until the crossing is
+    bracketed, and bisects the bracket.
+    """
     if not 0.0 < tail_mass < 1.0:
         raise DomainError("tail_mass must lie strictly between 0 and 1")
     if lam <= 0:
         raise DomainError(f"poisson_upper_support requires lam > 0, got {lam}")
     target = 1.0 - tail_mass
-    hi = int(lam + 10.0 * math.sqrt(lam) + 20.0)
-    while poisson_cdf(hi, lam) < target:
-        hi = int(hi * 1.5) + 10
-    lo = 0
-    while lo < hi:
-        mid = (lo + hi) // 2
+    # -normal_quantile(tail_mass), not normal_quantile(target): target
+    # rounds to 1 for tail masses below 1.1e-16.  The cdf then first
+    # reaches 1 where the tail falls below 2**-54, so the guess uses that.
+    z = -normal_quantile(max(tail_mass, 2.0**-54))
+    guess = max(0, int(lam + z * math.sqrt(lam) + (z * z - 1.0) / 6.0))
+    # Invariant: poisson_cdf(below) < target <= poisson_cdf(above).
+    step = 1
+    if poisson_cdf(guess, lam) >= target:
+        above = guess
+        below = guess - 1
+        while poisson_cdf(below, lam) >= target:
+            above = below
+            step *= 2
+            below = max(-1, above - step)
+    else:
+        below = guess
+        above = guess + 1
+        while poisson_cdf(above, lam) < target:
+            below = above
+            step *= 2
+            above = below + step
+    while above - below > 1:
+        mid = (below + above) // 2
         if poisson_cdf(mid, lam) >= target:
-            hi = mid
+            above = mid
         else:
-            lo = mid + 1
-    return lo
+            below = mid
+    return above
 
 
 def normal_cdf(x: float) -> float:

@@ -1,6 +1,8 @@
 """Monte Carlo harness: determinism, worker invariance, and sanity
 of the reported coverage/length statistics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,8 @@ from countpred.simulate import (
     REGRESSION_CASES,
     REGRESSION_REGIONS,
     SimConfig,
-    _intercept_chunk,
+    _intercept_draws,
+    _intercept_reps,
     _rep_rng,
     gen_poisson_regression_data,
     poisson_sampler,
@@ -105,11 +108,21 @@ def reference_intercept_chunk(seed, start, stop, n, lam, alpha):
     (50, 5.0, 0.05),
 ])
 def test_intercept_chunk_matches_per_replication_build(n, lam, alpha):
-    covers, lengths, redraws = _intercept_chunk((777, 10, 410, n, lam, alpha))
+    covers, lengths = _intercept_reps(777, 10, 410, n, lam, alpha)
     ref_covers, ref_lengths = reference_intercept_chunk(777, 10, 410, n, lam, alpha)
-    assert redraws == 0
     assert np.array_equal(covers, ref_covers)
     assert np.array_equal(lengths, ref_lengths)
+
+
+def test_intercept_single_total_worker_invariant():
+    # n * lam = 1e-6: every total is 0, so there are more workers than
+    # distinct totals to build regions for.
+    config = intercept_config(n=1, lam=1e-6, replications=600)
+    counts, _ = _intercept_draws((config.seed, 0, 600, 1, 1e-6))
+    assert not counts[:, 0].any()
+    csvs = {result_to_csv(run_intercept_experiment(replace(config, workers=w)))
+            for w in (1, 2, 8)}
+    assert len(csvs) == 1
 
 
 def test_intercept_coverage_band_at_half_alpha():
