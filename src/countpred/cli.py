@@ -199,6 +199,8 @@ def _cmd_fit(args) -> int:
         "xi_hat": _xi_json(xi),
         "converged": chosen.converged,
         "iterations": chosen.iterations,
+        "newton_decrement": chosen.decrement,
+        "step_halvings": chosen.halvings,
         "aic_table": table,
     }
     try:

@@ -26,7 +26,7 @@ class DivergenceError(CountpredError):
 class NonConvergenceError(CountpredError):
     """Newton-Raphson exhausted its iteration budget.
 
-    Carries the last iterate so callers can inspect or restart.
+    Carries the last iterate so callers can inspect it.
     """
 
     def __init__(self, message, theta=None, iterations=None):

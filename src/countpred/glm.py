@@ -62,6 +62,10 @@ _EXP_LIMIT = 700.0
 # normal interval at that scale.
 _ENUM_LIMIT = 1e6
 
+_MAX_ITER = 100
+
+_EPS = np.finfo(np.float64).eps
+
 
 @dataclass(frozen=True)
 class DesignSpec:
@@ -95,6 +99,8 @@ class GlmFit:
     iterations: int
     X: np.ndarray
     y: np.ndarray
+    decrement: float = 0.0       # Newton decrement g' I^-1 g that ended the fit
+    halvings: int = 0            # line-search step halvings over all iterations
 
 
 @dataclass(frozen=True)
@@ -196,9 +202,11 @@ def _log_factorial_terms(y: np.ndarray) -> np.ndarray:
 
 
 def _loglik(theta: np.ndarray, X: np.ndarray, y: np.ndarray,
-            lfact: np.ndarray) -> float:
+            lfact: np.ndarray) -> tuple[float, np.ndarray]:
+    """Log likelihood and the rates exp(X theta) it was evaluated at."""
     eta = _linear_predictor(theta, X)
-    return float(np.sum(y * eta - np.exp(eta) - lfact))
+    rates = np.exp(eta)
+    return float(np.sum(y * eta - rates - lfact)), rates
 
 
 def loglik(theta, X, y) -> float:
@@ -206,7 +214,7 @@ def loglik(theta, X, y) -> float:
     theta = np.asarray(theta, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    return _loglik(theta, X, y, _log_factorial_terms(y))
+    return _loglik(theta, X, y, _log_factorial_terms(y))[0]
 
 
 def score(theta, X, y) -> np.ndarray:
@@ -241,18 +249,28 @@ def _spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(A, b)
 
 
-def fit(X, y, init=None, tol: float = 1e-8, max_iter: int = 100,
-        design: DesignSpec | None = None) -> GlmFit:
-    """Newton-Raphson maximum likelihood.
+def _orthonormal_basis(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X = QR; SingularityError when X is rank-deficient by R's diagonal."""
+    Q, R = np.linalg.qr(X)
+    diag = np.abs(np.diag(R))
+    if (X.shape[0] < X.shape[1] or not np.all(np.isfinite(R))
+            or diag.min() <= max(X.shape) * _EPS * diag.max()):
+        raise SingularityError("design matrix is rank-deficient")
+    return Q, R
 
-    Stops when the score max-norm falls below ``tol``, or when the
-    Newton decrement g' I^-1 g drops below float64 resolution of the
-    log likelihood (for large count totals the score noise floor can
-    sit above any fixed absolute tolerance).  Steps that fail to
-    improve the log likelihood are halved up to 30 times; once the
-    likelihood is flat at float64 resolution the full step is still
-    taken as long as it shrinks the score, otherwise the last iterate
-    is reported in a non-convergence error.
+
+def fit(X, y, design: DesignSpec | None = None) -> GlmFit:
+    """Newton-Raphson maximum likelihood in the design's orthonormal basis.
+
+    Newton runs on b = R theta, X = QR, from the least-squares fit of
+    log(y + 0.5) on Q, where the information is well conditioned however
+    collinear the columns of X are.  It stops on one rule: once the Newton
+    decrement g' I^-1 g is at most 1e-10 (|loglik| + 1) it takes that last
+    full step and returns theta = R^-1 b, every field in the caller's basis.
+    Other steps are halved up to 30 times until the log likelihood improves;
+    failing that, or after 100 iterations, NonConvergenceError carries the
+    last iterate.  A rank-deficient X, or an information matrix made
+    singular by vanishing rates, raises SingularityError.
     """
     X = np.asarray(X, dtype=np.float64)
     y_arr = np.asarray(y)
@@ -268,70 +286,55 @@ def fit(X, y, init=None, tol: float = 1e-8, max_iter: int = 100,
     y_f = y_arr.astype(np.float64)
     # ln y! does not depend on theta: computed once, not per line-search step.
     lfact = _log_factorial_terms(y_f)
+    Q, R = _orthonormal_basis(X)
 
-    if init is not None:
-        theta = np.asarray(init, dtype=np.float64).copy()
-    else:
-        # Least squares on the log-linearized response; starting from
-        # zeros can put the first Newton step outside the improving
-        # region for steep designs.
-        theta = np.linalg.lstsq(X, np.log(y_f + 0.5), rcond=None)[0]
-    ll = _loglik(theta, X, y_f, lfact)
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        g = score(theta, X, y_f)
-        if np.max(np.abs(g)) <= tol:
-            converged = True
+    b = Q.T @ np.log(y_f + 0.5)
+    ll, rates = _loglik(b, Q, y_f, lfact)
+    halvings = 0
+    for iterations in range(1, _MAX_ITER + 1):
+        g = Q.T @ (y_f - rates)
+        try:
+            step = np.linalg.solve((Q * rates[:, None]).T @ Q, g)
+        except np.linalg.LinAlgError as exc:
+            raise SingularityError("information is singular: fitted rates vanish") from exc
+        decrement = float(g @ step)
+        if decrement <= 1e-10 * (abs(ll) + 1.0):
+            b = b + step
             break
-        info = expected_info(theta, X)
-        step = _spd_solve(info, g)
-        if float(g @ step) <= 4e-16 * (abs(ll) + 1.0):
-            converged = True
-            break
-        scale = 1.0
         for _ in range(31):
-            cand = theta + scale * step
             try:
-                cand_ll = _loglik(cand, X, y_f, lfact)
+                cand_ll, cand_rates = _loglik(b + step, Q, y_f, lfact)
             except DivergenceError:
                 cand_ll = -np.inf
-            if cand_ll > ll or (cand_ll == ll and scale == 1.0):
+            if cand_ll > ll:
                 break
-            scale *= 0.5
+            step = 0.5 * step
+            halvings += 1
         else:
-            # Likelihood is flat at float64 resolution; accept the
-            # full step if it still moves the score toward zero.
-            cand = theta + step
-            if np.max(np.abs(score(cand, X, y_f))) < np.max(np.abs(g)):
-                theta = cand
-                ll = _loglik(theta, X, y_f, lfact)
-                continue
-            raise NonConvergenceError(
-                "no improving Newton step found", theta=theta, iterations=iterations)
-        theta = cand
-        ll = cand_ll
-    if not converged:
+            raise NonConvergenceError("no improving Newton step found",
+                                      theta=np.linalg.solve(R, b), iterations=iterations)
+        b, ll, rates = b + step, cand_ll, cand_rates
+    else:
         raise NonConvergenceError(
-            f"Newton-Raphson did not converge in {max_iter} iterations",
-            theta=theta, iterations=iterations)
+            f"Newton-Raphson did not converge in {_MAX_ITER} iterations",
+            theta=np.linalg.solve(R, b), iterations=iterations)
 
-    rates = np.exp(_linear_predictor(theta, X))
-    residuals = (y_f - rates) / np.sqrt(rates)
-    info = expected_info(theta, X)
-    ll = _loglik(theta, X, y_f, lfact)
+    theta = np.linalg.solve(R, b)
+    ll, rates = _loglik(theta, X, y_f, lfact)
     return GlmFit(
         theta=theta,
-        info_observed=info,
+        info_observed=expected_info(theta, X),
         loglik=ll,
         aic=-2.0 * ll + 2.0 * k,
         fitted_rates=rates,
-        residuals=residuals,
+        residuals=(y_f - rates) / np.sqrt(rates),
         design=design,
         converged=True,
         iterations=iterations,
         X=X,
         y=y_arr.astype(np.int64),
+        decrement=decrement,
+        halvings=halvings,
     )
 
 

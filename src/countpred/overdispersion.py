@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DesignError, DivergenceError, DomainError, SingularityError
-from .glm import GlmFit, _predicted_rate, region_regression
+from .glm import GlmFit, _orthonormal_basis, _predicted_rate, region_regression
 from .regions import PredictionRegion, _check_alpha, _normal_interval
 
 __all__ = [
@@ -33,8 +33,6 @@ __all__ = [
     "region_overdispersed",
     "gen_frailty_counts",
 ]
-
-_EPS = np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -129,11 +127,7 @@ def sandwich_covariance(base_fit: GlmFit, xi: float, X=None, y=None) -> np.ndarr
             f"sandwich_covariance needs X with {base_fit.theta.size} columns and "
             f"one y per row; got X {X.shape}, y {y.shape}")
     k = X.shape[1]
-    Q, R = np.linalg.qr(X)
-    diag = np.abs(np.diag(R))
-    if (X.shape[0] < k or not np.all(np.isfinite(R))
-            or diag.min() <= max(X.shape) * _EPS * diag.max()):
-        raise SingularityError("design matrix is rank-deficient")
+    Q, R = _orthonormal_basis(X)
     T = np.eye(k + 1)
     T[:k, :k] = np.linalg.solve(R, np.eye(k))
     sigma, omega = _assemble_factors(R @ base_fit.theta, xi, Q, y.astype(np.float64))

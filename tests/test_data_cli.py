@@ -220,6 +220,8 @@ def test_cli_fit_json(series_csv, tmp_path, capsys):
     payload = json.loads(out.read_text())
     assert payload["meta"]["version"]
     assert payload["converged"] is True
+    assert payload["newton_decrement"] <= 1e-10 * (abs(payload["loglik"]) + 1.0)
+    assert payload["step_halvings"] >= 0
     assert len(payload["theta_standardized"]) == 1 + 2 + 6
     assert len(payload["aic_table"]) == 3
     assert {"aic_nd", "aic_d"} <= set(payload["aic_table"][0])

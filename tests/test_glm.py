@@ -1,6 +1,7 @@
 """Poisson regression: finite-difference oracles and closed forms."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from countpred import (
     fit,
     loglik,
     observed_info,
+    parse_ecdc_csv,
     pmf_poisson,
     rate_and_variance,
     region_regression,
@@ -28,6 +30,11 @@ from countpred import (
     residual_diagnostics,
     score,
 )
+from countpred.forecast import _fit_for_cutoff
+from countpred.simulate import REGRESSION_CASES, _draw_regression_instance, _rep_rng
+
+FIXTURE = (Path(__file__).resolve().parents[1] / "src" / "countpred" / "fixtures"
+           / "us_covid_deaths_ecdc.csv")
 
 rng = np.random.default_rng(61)
 
@@ -148,6 +155,60 @@ def test_fit_invariant_to_standardization():
     assert lam[True][1] == pytest.approx(lam[False][1], rel=1e-8)
 
 
+def test_fit_invariant_to_column_order():
+    # Reversing the columns changes only the rounding order; theta must
+    # not move by more than a vanishing fraction of its standard error.
+    for case, n in ((1, 200), (4, 30), (3, 30)):
+        p, theta, w_dist = REGRESSION_CASES[case]
+        worst = 0.0
+        for rep in range(1000):
+            w, y, _, _ = _draw_regression_instance(p, theta, w_dist, n,
+                                                   _rep_rng(20200315, rep))
+            X, _ = build_design(w[:n], None, DesignSpec(poly_order=p, standardize=True))
+            forward = fit(X, y)
+            reverse = fit(X[:, ::-1], y)
+            se = np.sqrt(np.diag(np.linalg.inv(forward.info_observed)))
+            worst = max(worst, float(np.max(
+                np.abs(forward.theta - reverse.theta[::-1]) / se)))
+        assert worst <= 1e-9, (case, worst)
+
+
+def fixture_fit(cutoff, standardize):
+    series = parse_ecdc_csv(FIXTURE, country="US")
+    design = DesignSpec(poly_order=5, include_day_factor=True, standardize=standardize)
+    return _fit_for_cutoff(series, design, cutoff, False)[1]
+
+
+def test_fixture_fit_independent_of_basis():
+    for cutoff in (120, 137, 145, 153, 185):
+        std, raw = fixture_fit(cutoff, True), fixture_fit(cutoff, False)
+        np.testing.assert_allclose(std.fitted_rates, raw.fitted_rates, rtol=1e-10, atol=0)
+    std = fixture_fit(137, True)
+    assert np.max(np.abs(score(std.theta, std.X, std.y))) < 1e-6
+
+
+def test_fixture_fit_matches_high_precision_newton():
+    mp = pytest.importorskip("mpmath")
+    res = fixture_fit(137, True)
+    with mp.workdps(60):
+        # float64 -> mpf is exact, so this is Newton on the same data.
+        X = mp.matrix(res.X.tolist())
+        y = mp.matrix([int(v) for v in res.y])
+        theta = mp.matrix(res.theta.tolist())
+        for _ in range(20):
+            rates = (X * theta).apply(mp.exp)
+            g = X.T * (y - rates)
+            if max(abs(v) for v in g) < mp.mpf("1e-40"):
+                break
+            weighted = mp.matrix([[X[i, j] * rates[i] for j in range(X.cols)]
+                                  for i in range(X.rows)])
+            theta += mp.lu_solve(X.T * weighted, g)
+        else:
+            pytest.fail("60-digit Newton did not reach a score below 1e-40")
+        want = np.array([float(v) for v in (X * theta).apply(mp.exp)])
+    np.testing.assert_allclose(res.fitted_rates, want, rtol=1e-10, atol=0)
+
+
 def test_build_design_layout():
     X, spec = build_design([1.0, 2.0, 3.0], None,
                            DesignSpec(poly_order=1, standardize=True))
@@ -254,5 +315,11 @@ def test_fit_input_validation():
         fit(np.ones((2, 3)), [1, 2])
     with pytest.raises(SingularityError):
         fit(np.column_stack([np.ones(5), np.ones(5)]), [1, 2, 3, 2, 1])
+    with pytest.raises(SingularityError):
+        fit(np.column_stack([np.ones(4), [0.0, 1.0, np.nan, 3.0]]), [1, 2, 3, 4])
+    # No MLE exists: the rates of the zero counts vanish and the information
+    # becomes singular in float64 before the stop rule fires.
+    with pytest.raises(SingularityError):
+        fit(np.column_stack([np.ones(3), [27.126, 143.48, 7.14]]), [0, 0, 480342])
     with pytest.raises(DivergenceError):
         loglik([800.0], np.ones((2, 1)), [1, 2])
