@@ -27,10 +27,11 @@ from .errors import (
 from .regions import (
     PredictionRegion,
     _check_alpha,
+    _log_factorials,
     _normal_interval,
+    _poisson_smallest,
     _sqrt_interval,
-    pmf_poisson,
-    region_smallest,
+    realize,
 )
 from .special import chisq_sf
 
@@ -63,6 +64,11 @@ _EXP_LIMIT = 700.0
 _ENUM_LIMIT = 1e6
 
 _MAX_ITER = 100
+
+# fit reads ln y! of counts below this from the shared table of
+# regions._log_factorials; larger counts go through lgamma, so the table
+# does not grow with the data.
+_LOG_FACTORIAL_CAP = 4096
 
 _EPS = np.finfo(np.float64).eps
 
@@ -152,20 +158,23 @@ def build_design(w, day_labels, spec: DesignSpec) -> tuple[np.ndarray, DesignSpe
             raise DesignError("day labels length does not match w")
         for d in range(1, 7):
             cols.append((idx == d).astype(np.float64))
-    X = np.column_stack(cols)
-    means = np.zeros(X.shape[1])
-    sds = np.ones(X.shape[1])
+    # One row per column, so each column's mean and sd reduce a
+    # contiguous row, as they would reduce the column on its own.
+    rows = np.array(cols)
+    means = np.zeros(rows.shape[0])
+    sds = np.ones(rows.shape[0])
     if spec.standardize:
-        for j in range(1, X.shape[1]):
-            sd = float(X[:, j].std(ddof=1))
-            if sd == 0.0:
-                if j <= spec.poly_order:
-                    raise DesignError(
-                        f"polynomial column w^{j} has zero variance; cannot standardize")
-                continue  # constant dummy left as-is; rank problems surface at fit
-            means[j] = float(X[:, j].mean())
-            sds[j] = sd
-            X[:, j] = (X[:, j] - means[j]) / sds[j]
+        sd = rows[1:].std(axis=1, ddof=1)
+        flat = np.flatnonzero(sd == 0.0) + 1
+        if flat.size and flat[0] <= spec.poly_order:
+            raise DesignError(
+                f"polynomial column w^{flat[0]} has zero variance; cannot standardize")
+        # A constant dummy is left as-is; rank problems surface at fit.
+        scaled = sd != 0.0
+        means[1:] = np.where(scaled, rows[1:].mean(axis=1), 0.0)
+        sds[1:] = np.where(scaled, sd, 1.0)
+        rows = (rows - means[:, None]) / sds[:, None]
+    X = np.ascontiguousarray(rows.T)
     out_spec = replace(spec, column_means=tuple(means), column_sds=tuple(sds))
     return X, out_spec
 
@@ -191,7 +200,7 @@ def design_row(w0: float, day_label, spec: DesignSpec) -> np.ndarray:
 
 def _linear_predictor(theta: np.ndarray, X: np.ndarray) -> np.ndarray:
     eta = X @ theta
-    if np.any(eta > _EXP_LIMIT):
+    if (eta > _EXP_LIMIT).any():
         raise DivergenceError(
             "linear predictor overflows exp; consider standardizing covariate columns")
     return eta
@@ -201,12 +210,25 @@ def _log_factorial_terms(y: np.ndarray) -> np.ndarray:
     return np.array([math.lgamma(v + 1.0) for v in y])
 
 
+def _count_log_factorials(y: np.ndarray) -> np.ndarray:
+    """_log_factorial_terms(y) for nonnegative integer counts y (floats).
+
+    Read from the shared table of the same lgamma values when every
+    count is below _LOG_FACTORIAL_CAP.
+    """
+    k = y.astype(np.int64)
+    top = int(k.max(initial=0))
+    if top < _LOG_FACTORIAL_CAP:
+        return _log_factorials(top)[k]
+    return _log_factorial_terms(y)
+
+
 def _loglik(theta: np.ndarray, X: np.ndarray, y: np.ndarray,
             lfact: np.ndarray) -> tuple[float, np.ndarray]:
     """Log likelihood and the rates exp(X theta) it was evaluated at."""
     eta = _linear_predictor(theta, X)
     rates = np.exp(eta)
-    return float(np.sum(y * eta - rates - lfact)), rates
+    return float((y * eta - rates - lfact).sum()), rates
 
 
 def loglik(theta, X, y) -> float:
@@ -235,7 +257,11 @@ def expected_info(theta, X) -> np.ndarray:
     """Expected information sum x_i x_i' exp(x_i theta)."""
     theta = np.asarray(theta, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
-    rates = np.exp(_linear_predictor(theta, X))
+    return _information(X, np.exp(_linear_predictor(theta, X)))
+
+
+def _information(X: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """sum x_i x_i' rate_i."""
     return (X * rates[:, None]).T @ X
 
 
@@ -252,8 +278,8 @@ def _spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _orthonormal_basis(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """X = QR; SingularityError when X is rank-deficient by R's diagonal."""
     Q, R = np.linalg.qr(X)
-    diag = np.abs(np.diag(R))
-    if (X.shape[0] < X.shape[1] or not np.all(np.isfinite(R))
+    diag = np.abs(R.diagonal())
+    if (X.shape[0] < X.shape[1] or not np.isfinite(R).all()
             or diag.min() <= max(X.shape) * _EPS * diag.max()):
         raise SingularityError("design matrix is rank-deficient")
     return Q, R
@@ -270,7 +296,9 @@ def fit(X, y, design: DesignSpec | None = None) -> GlmFit:
     Other steps are halved up to 30 times until the log likelihood improves;
     failing that, or after 100 iterations, NonConvergenceError carries the
     last iterate.  A rank-deficient X, or an information matrix made
-    singular by vanishing rates, raises SingularityError.
+    singular by vanishing rates, raises SingularityError.  All-zero
+    counts on an X that spans the constant column have no MLE (the fit
+    would drive every rate to 0) and raise NonConvergenceError.
     """
     X = np.asarray(X, dtype=np.float64)
     y_arr = np.asarray(y)
@@ -279,14 +307,19 @@ def fit(X, y, design: DesignSpec | None = None) -> GlmFit:
     n, k = X.shape
     if y_arr.shape != (n,):
         raise DesignError("y length does not match X")
-    if np.any(y_arr < 0) or np.any(y_arr != np.floor(y_arr)):
+    if (y_arr < 0).any() or (y_arr != np.floor(y_arr)).any():
         raise DomainError("y must be nonnegative integers")
     if n < k:
         raise DesignError(f"need at least as many observations ({n}) as parameters ({k})")
     y_f = y_arr.astype(np.float64)
     # ln y! does not depend on theta: computed once, not per line-search step.
-    lfact = _log_factorial_terms(y_f)
+    lfact = _count_log_factorials(y_f)
     Q, R = _orthonormal_basis(X)
+    if not y_f.any():
+        ones = np.ones(n)
+        if np.max(np.abs(ones - Q @ (Q.T @ ones))) <= 1e-8:
+            raise NonConvergenceError("all counts are zero: the MLE does not exist",
+                                      iterations=0)
 
     b = Q.T @ np.log(y_f + 0.5)
     ll, rates = _loglik(b, Q, y_f, lfact)
@@ -294,7 +327,7 @@ def fit(X, y, design: DesignSpec | None = None) -> GlmFit:
     for iterations in range(1, _MAX_ITER + 1):
         g = Q.T @ (y_f - rates)
         try:
-            step = np.linalg.solve((Q * rates[:, None]).T @ Q, g)
+            step = np.linalg.solve(_information(Q, rates), g)
         except np.linalg.LinAlgError as exc:
             raise SingularityError("information is singular: fitted rates vanish") from exc
         decrement = float(g @ step)
@@ -323,7 +356,7 @@ def fit(X, y, design: DesignSpec | None = None) -> GlmFit:
     ll, rates = _loglik(theta, X, y_f, lfact)
     return GlmFit(
         theta=theta,
-        info_observed=expected_info(theta, X),
+        info_observed=_information(X, rates),
         loglik=ll,
         aic=-2.0 * ll + 2.0 * k,
         fitted_rates=rates,
@@ -375,6 +408,18 @@ def region_regression(fit_: GlmFit, x0, alpha: float, variant: str,
     """
     _check_alpha(alpha)
     lam0, vhat = rate_and_variance(fit_, x0)
+    region = _variant_region(lam0, vhat, alpha, variant)
+    if variant == "smallest-plugin" and lam0 <= _ENUM_LIMIT:
+        return realize(region, u)
+    return region
+
+
+def _variant_region(lam0: float, vhat: float, alpha: float,
+                    variant: str) -> PredictionRegion:
+    """One region_regression variant at rate lam0 and variance factor vhat.
+
+    A smallest-plugin region comes before its uniform draw.
+    """
     if variant == "normal":
         return _normal_interval(lam0, lam0 * vhat, alpha)
     if variant == "sqrt":
@@ -382,7 +427,7 @@ def region_regression(fit_: GlmFit, x0, alpha: float, variant: str,
     if variant == "smallest-plugin":
         if lam0 > _ENUM_LIMIT:
             return _normal_interval(lam0, lam0, alpha)
-        return region_smallest(pmf_poisson(lam0), alpha, u)
+        return _poisson_smallest(lam0, alpha)
     raise DomainError(f"unknown region variant: {variant!r}")
 
 

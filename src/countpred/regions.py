@@ -15,6 +15,7 @@ are represented as dense log-mass arrays over a truncated support.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -55,6 +56,9 @@ __all__ = [
 # Relative tolerance for declaring two log-masses tied.  Exact ties are
 # real (integer rates give p(k-1) = p(k)) but arrive with rounding.
 TIE_RTOL = 1e-12
+
+# A mass at least this (in logs) lies inside pmf_poisson's support.
+_LOG_CUT_FLOOR = math.log(10.0 * TAIL_MASS)
 
 # ln k! for k = 0, 1, ...; entry k is math.lgamma(k + 1), grown on demand
 # by _log_factorials.
@@ -287,14 +291,16 @@ def mom_gamma(y) -> tuple[float, float]:
 def _group_scan(log_mass: np.ndarray, target: float):
     """Sort masses descending, group ties, and split core/boundary.
 
-    Returns (core_ks, boundary_ks, gamma, cum_before) where gamma is the
-    inclusion probability of the boundary group.
+    Returns (order, core_end, boundary_end, gamma): ``order`` lists the
+    values of positive mass most probable first (ties in value order),
+    ``order[:core_end]`` is the core, ``order[core_end:boundary_end]``
+    the boundary group and gamma its inclusion probability.
     """
     order = np.argsort(-log_mass, kind="stable")
     slog = log_mass[order]
     npos = int(np.count_nonzero(slog > -np.inf))
     if npos == 0:
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), 0.0, 0.0
+        return order[:0], 0, 0, 0.0
     slog = slog[:npos]
     order = order[:npos]
     if npos > 1:
@@ -310,15 +316,13 @@ def _group_scan(log_mass: np.ndarray, target: float):
     # target; the first group that would overshoot becomes the boundary.
     ncore = int(np.searchsorted(group_cum, target + 1e-15, side="right"))
     if ncore >= len(ends):
-        return order, np.empty(0, dtype=np.int64), 0.0, float(group_cum[-1])
+        return order, npos, npos, 0.0
     core_end = ends[ncore - 1] + 1 if ncore > 0 else 0
     cum_before = float(group_cum[ncore - 1]) if ncore > 0 else 0.0
     gsum = float(group_cum[ncore] - cum_before)
     gamma = (target - cum_before) / gsum if gsum > 0 else 0.0
     gamma = min(1.0, max(0.0, gamma))
-    core = order[:core_end]
-    boundary = order[core_end:ends[ncore] + 1]
-    return core, boundary, gamma, cum_before
+    return order, int(core_end), int(ends[ncore]) + 1, gamma
 
 
 def _folded_bounds(region: PredictionRegion) -> tuple[int, int]:
@@ -339,8 +343,13 @@ def build_smallest(pmf: EstimatedPmf, alpha: float) -> PredictionRegion:
     of the core alone; ``realize`` applies a uniform draw.
     """
     _check_alpha(alpha)
-    target = 1.0 - alpha
-    core, boundary, gamma, _ = _group_scan(np.asarray(pmf.log_mass), target)
+    return _region_from_scan(*_group_scan(np.asarray(pmf.log_mass), 1.0 - alpha), alpha)
+
+
+def _region_from_scan(order, core_end, boundary_end, gamma, alpha) -> PredictionRegion:
+    """The region at level 1 - alpha from a _group_scan result."""
+    core = order[:core_end]
+    boundary = order[core_end:boundary_end]
     if core.size:
         core_lo, core_hi = int(core.min()), int(core.max())
         contiguous = core.size == core_hi - core_lo + 1
@@ -355,10 +364,36 @@ def build_smallest(pmf: EstimatedPmf, alpha: float) -> PredictionRegion:
         boundary_prob=float(gamma) if boundary.size else 0.0,
         realized_lo=core_lo,
         realized_hi=core_hi,
-        level=target,
+        level=1.0 - alpha,
         length=float(max(0, core_hi - core_lo)),
         core_set=core_set,
     )
+
+
+def _poisson_smallest(lam: float, alpha: float) -> PredictionRegion:
+    """build_smallest(pmf_poisson(lam), alpha), mostly without its support search.
+
+    Scans the log-masses of 0..cut only, with cut a Cornish-Fisher bound
+    past the region's upper end.  poisson_log_pmf_vector gives the mass
+    at k the same bits however far the vector runs, and masses decrease
+    past cut > lam, so this scan sorts and sums exactly as the scan of
+    the full support when (a) the full support reaches cut, which holds
+    when the mass at cut is ten times the tail mass pmf_poisson drops,
+    and (b) cut does not sort before the value following the boundary
+    group, whose gap to the group decides where the group ends.
+    Otherwise it builds from pmf_poisson.
+    """
+    _check_alpha(alpha)
+    if lam > 0.0:
+        z = _z(alpha)
+        cut = int(lam + (z + 1.0) * math.sqrt(lam) + (z * z + 5.0) / 6.0) + 2
+        log_mass = poisson_log_pmf_vector(cut, lam)
+        scan = _group_scan(log_mass, 1.0 - alpha)
+        order, boundary_end = scan[0], scan[2]
+        if (log_mass[cut] > _LOG_CUT_FLOOR and boundary_end < order.size
+                and log_mass[cut] <= log_mass[order[boundary_end]]):
+            return _region_from_scan(*scan, alpha)
+    return build_smallest(pmf_poisson(lam), alpha)
 
 
 def realize(region: PredictionRegion, u: float) -> PredictionRegion:
@@ -414,9 +449,15 @@ def _interval_region(lower: float, upper: float, alpha: float) -> PredictionRegi
         length=float(upper - lower), core_set=None)
 
 
+@functools.lru_cache(maxsize=64)
+def _z(alpha: float) -> float:
+    """The 1 - alpha/2 standard normal quantile, computed once per alpha."""
+    return normal_quantile(1.0 - alpha / 2.0)
+
+
 def _normal_interval(center: float, var: float, alpha: float) -> PredictionRegion:
     """center +- z sqrt(var), clipped at 0, with z the 1 - alpha/2 quantile."""
-    half = normal_quantile(1.0 - alpha / 2.0) * math.sqrt(var)
+    half = _z(alpha) * math.sqrt(var)
     return _interval_region(max(0.0, center - half), center + half, alpha)
 
 
@@ -425,7 +466,7 @@ def _sqrt_interval(rate: float, v: float, alpha: float) -> PredictionRegion:
 
     sqrt(Y) has variance about v/4 when Y has variance rate * v.
     """
-    c = normal_quantile(1.0 - alpha / 2.0) * math.sqrt(v / 4.0)
+    c = _z(alpha) * math.sqrt(v / 4.0)
     s = math.sqrt(rate)
     return _interval_region(max(0.0, s - c) ** 2, (s + c) ** 2, alpha)
 

@@ -17,7 +17,9 @@ region: the bounds without and with the boundary and its inclusion
 probability gamma.  Coverage and length of every replication are read
 from its total's row in one vectorized step.  A row depends only on
 (n, T, alpha), so the results stay the same for every worker count.
-Regression replications are fitted one at a time, in fixed-size chunks.
+Regression replications are fitted one at a time, in fixed-size chunks;
+each keeps the same kind of row for its three regions, and a chunk is
+scored in one step.
 """
 
 from __future__ import annotations
@@ -35,8 +37,16 @@ from .errors import (
     NonConvergenceError,
     SingularityError,
 )
-from .glm import DesignSpec, build_design, design_row, fit, region_regression
+from .glm import (
+    DesignSpec,
+    _variant_region,
+    build_design,
+    design_row,
+    fit,
+    rate_and_variance,
+)
 from .regions import (
+    _check_alpha,
     _folded_bounds,
     _taylor_from_plugin,
     build_smallest,
@@ -76,6 +86,8 @@ REGRESSION_CASES = {
 
 INTERCEPT_REGIONS = ("Gam0", "Gam1", "Gam2", "Gam3", "Gam4", "Gam5")
 REGRESSION_REGIONS = ("Gam0", "Gam1", "Gam2")
+# The region_regression variant behind each of REGRESSION_REGIONS.
+_REGRESSION_VARIANTS = ("smallest-plugin", "normal", "sqrt")
 
 # Rates beyond this cannot be sampled as 64-bit counts; such draws are
 # discarded and redrawn, with the count reported.
@@ -210,20 +222,47 @@ def _intercept_draws(args):
     return counts, u
 
 
-def _intercept_table(args):
-    """Per total and region: bounds (core lo, core hi, folded lo, folded hi)
-    and the boundary's inclusion probability gamma.
+def _region_bounds(region) -> tuple[int, int, int, int]:
+    """(core lo, core hi, folded lo, folded hi) of a region before its draw.
 
     A region without a boundary has folded bounds equal to its core's, so
     including "the boundary" leaves it as it is, as realize() does.
     """
+    core = (region.realized_lo, region.realized_hi)
+    return core + (_folded_bounds(region) if region.boundary else core)
+
+
+def _score(bounds, gamma, u, y0):
+    """Covers and realized lengths from per-replication region rows.
+
+    ``bounds[j, i]`` holds _region_bounds of region i in replication j and
+    ``gamma[j, i]`` its boundary's inclusion probability; a replication
+    takes the folded bounds where its uniform draw u is at most gamma.
+    Bounds are floats: an interval bound is the ceiling or floor of a
+    float, so it is exact there, and it may lie past the int64 range.
+    Their difference rounds once, as the float of the integer width does.
+    """
+    include = u[:, None] <= gamma
+    lo = np.where(include, bounds[..., 2], bounds[..., 0])
+    hi = np.where(include, bounds[..., 3], bounds[..., 1])
+    # Counts are drawn at rates of at most e**42, far below 2**62, so the
+    # bounds clipped there compare with them exactly as integers.
+    y0 = y0[:, None]
+    covers = ((np.minimum(lo, 2.0**62).astype(np.int64) <= y0)
+              & (y0 <= np.minimum(hi, 2.0**62).astype(np.int64))).astype(np.uint8)
+    lengths = np.maximum(hi - lo, 0.0)
+    return covers, lengths
+
+
+def _intercept_table(args):
+    """Per total and region: _region_bounds and the boundary's inclusion
+    probability gamma."""
     n, totals, alpha = args
-    bounds = np.empty((totals.size, 6, 4), dtype=np.int64)
+    bounds = np.empty((totals.size, 6, 4))
     gamma = np.empty((totals.size, 6))
     for j, t in enumerate(totals):
         for i, r in enumerate(_intercept_regions(n, int(t), alpha)):
-            core = (r.realized_lo, r.realized_hi)
-            bounds[j, i] = core + (_folded_bounds(r) if r.boundary else core)
+            bounds[j, i] = _region_bounds(r)
             gamma[j, i] = r.boundary_prob
     return bounds, gamma
 
@@ -243,45 +282,43 @@ def _intercept_reps(seed, start, stop, n, lam, alpha, workers=1):
         blocks = np.array_split(totals, min(workers, totals.size))
         tables = pool_map(_intercept_table, [(n, b, alpha) for b in blocks])
     bounds = np.concatenate([b for b, _ in tables])[row]
-    include = u[:, None] <= np.concatenate([g for _, g in tables])[row]
-    lo = np.where(include, bounds[..., 2], bounds[..., 0])
-    hi = np.where(include, bounds[..., 3], bounds[..., 1])
-    y0 = counts[:, 1:]
-    covers = ((lo <= y0) & (y0 <= hi)).astype(np.uint8)
-    lengths = np.maximum(hi - lo, 0).astype(np.float64)
-    return covers, lengths
+    gamma = np.concatenate([g for _, g in tables])[row]
+    return _score(bounds, gamma, u, counts[:, 1])
 
 
 def _regression_chunk(args):
+    """Covers, realized lengths and redraws of replications start..stop-1.
+
+    Each replication is fitted on its own and keeps its three regions as
+    _region_bounds rows; all of them are scored in one vectorized step.
+    """
     seed, start, stop, n, p, theta, w_dist, alpha = args
     m = stop - start
-    covers = np.zeros((m, 3), dtype=np.uint8)
-    lengths = np.zeros((m, 3), dtype=np.float64)
+    bounds = np.empty((m, 3, 4))
+    gamma = np.empty((m, 3))
+    u = np.empty(m)
+    y0 = np.empty(m, dtype=np.int64)
     redraws = 0
     base_spec = DesignSpec(poly_order=p, standardize=True)
     for j, rep in enumerate(range(start, stop)):
         rng = _rep_rng(seed, rep)
         while True:
-            w, y, y0, rd = _draw_regression_instance(p, theta, w_dist, n, rng)
+            w, y, y0[j], rd = _draw_regression_instance(p, theta, w_dist, n, rng)
             redraws += rd
-            u = rng.random()
+            u[j] = rng.random()
             try:
                 X, spec = build_design(w[:n], None, base_spec)
                 fit_ = fit(X, y, design=spec)
-                x0 = design_row(w[n], None, spec)
-                regs = (
-                    region_regression(fit_, x0, alpha, "smallest-plugin", u),
-                    region_regression(fit_, x0, alpha, "normal"),
-                    region_regression(fit_, x0, alpha, "sqrt"),
-                )
+                lam0, vhat = rate_and_variance(fit_, design_row(w[n], None, spec))
+                regs = [_variant_region(lam0, vhat, alpha, v) for v in _REGRESSION_VARIANTS]
             except (SingularityError, NonConvergenceError, DivergenceError):
                 redraws += 1
                 continue
             break
         for i, r in enumerate(regs):
-            covers[j, i] = 1 if r.realized_contains(y0) else 0
-            lengths[j, i] = max(0, r.realized_hi - r.realized_lo)
-    return covers, lengths, redraws
+            bounds[j, i] = _region_bounds(r)
+            gamma[j, i] = r.boundary_prob
+    return _score(bounds, gamma, u, y0) + (redraws,)
 
 
 @contextmanager
@@ -333,6 +370,7 @@ def run_regression_experiment(config: SimConfig) -> SimResult:
         raise DomainError("config.scenario must be 'regression'")
     if config.replications < 1 or config.n < 1:
         raise DomainError("replications and n must be >= 1")
+    _check_alpha(config.alpha)
     p, theta, w_dist = _resolve_regression(config)
     args = [(config.seed, s, e, config.n, p, theta, w_dist, config.alpha)
             for s, e in _chunk_bounds(0, config.replications)]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
-from countpred import glm
+from countpred import glm, regions
 from countpred import (
     DesignError,
     DesignSpec,
@@ -15,6 +15,7 @@ from countpred import (
     DivergenceError,
     DomainError,
     GlmFit,
+    NonConvergenceError,
     SingularityError,
     build_design,
     design_row,
@@ -237,6 +238,70 @@ def test_build_design_day_factor():
         build_design([1.0, 2.0], None, DesignSpec(poly_order=-1))
 
 
+def per_column_design(w, labels, order, days):
+    """Standardized design, one column at a time."""
+    cols = [np.ones(len(w))] + [np.asarray(w, dtype=np.float64) ** j
+                                for j in range(1, order + 1)]
+    if days:
+        idx = np.array(labels)
+        cols += [(idx == d).astype(np.float64) for d in range(1, 7)]
+    X = np.column_stack(cols)
+    means, sds = np.zeros(X.shape[1]), np.ones(X.shape[1])
+    for j in range(1, X.shape[1]):
+        sd = float(X[:, j].std(ddof=1))
+        if sd == 0.0:
+            continue
+        means[j] = float(X[:, j].mean())
+        sds[j] = sd
+        X[:, j] = (X[:, j] - means[j]) / sds[j]
+    return X, tuple(means), tuple(sds)
+
+
+@pytest.mark.parametrize("order, days", [(0, True), (1, False), (3, False),
+                                         (5, False), (5, True)])
+def test_build_design_matches_per_column_standardization(order, days):
+    r = np.random.default_rng(order)
+    for w in (r.random(30), 2.0 + 2.0 * r.standard_normal(200), np.arange(50.0) + 60.0,
+              r.random(7)):
+        # Never a Sunday: the Sunday dummy is a constant column.
+        labels = [int(d) % 6 for d in r.integers(0, 6, w.size)]
+        X, spec = build_design(w, labels if days else None,
+                               DesignSpec(poly_order=order, include_day_factor=days,
+                                          standardize=True))
+        want, means, sds = per_column_design(w, labels, order, days)
+        assert np.array_equal(X, want)
+        assert X.flags.c_contiguous
+        assert spec.column_means == means and spec.column_sds == sds
+        assert (spec.column_sds[-1] == 1.0) == days
+
+
+def test_build_design_zero_variance_error_names_the_column():
+    spec = DesignSpec(poly_order=3, standardize=True)
+    with pytest.raises(DesignError, match=r"w\^1 "):
+        build_design([2.0, 2.0, 2.0], None, spec)
+    with pytest.raises(DesignError, match=r"w\^2 "):
+        build_design([-1.0, 1.0, -1.0, 1.0], None, spec)
+
+
+def test_count_log_factorials_equal_lgamma():
+    cap = glm._LOG_FACTORIAL_CAP
+    for y in ([0, 1, 2, 7, cap - 1], [0, 3, cap - 1, cap, cap + 1, 10**6], [10**7], []):
+        y = np.asarray(y, dtype=np.float64)
+        assert np.array_equal(glm._count_log_factorials(y),
+                              np.array([math.lgamma(v + 1.0) for v in y]))
+
+
+def test_fit_keeps_the_factorial_table_within_the_cap(monkeypatch):
+    cap = glm._LOG_FACTORIAL_CAP
+    monkeypatch.setattr(regions, "_LOG_FACTORIALS", np.empty(0))
+    w = np.linspace(0.0, 1.0, 20)
+    X = np.column_stack([np.ones(20), w])
+    fit(X, rng.poisson(np.exp(13.0 + w)))          # counts near 5e5
+    assert regions._LOG_FACTORIALS.size <= cap
+    fit(X, rng.poisson(np.exp(1.0 + w)))
+    assert 0 < regions._LOG_FACTORIALS.size <= cap
+
+
 def test_intercept_variance_factor():
     n = 10
     res = fit(np.ones((n, 1)), [5] * n)
@@ -321,5 +386,12 @@ def test_fit_input_validation():
     # becomes singular in float64 before the stop rule fires.
     with pytest.raises(SingularityError):
         fit(np.column_stack([np.ones(3), [27.126, 143.48, 7.14]]), [0, 0, 480342])
+    # All-zero counts on a design spanning the constant column: no MLE.
+    with pytest.raises(NonConvergenceError):
+        fit(np.ones((5, 1)), [0] * 5)
+    X, _ = build_design(np.linspace(0.0, 2.0, 9), None,
+                        DesignSpec(poly_order=2, standardize=True))
+    with pytest.raises(NonConvergenceError):
+        fit(X, [0] * 9)
     with pytest.raises(DivergenceError):
         loglik([800.0], np.ones((2, 1)), [1, 2])

@@ -159,6 +159,49 @@ def test_region_input_validation():
         pmf_poisson(-1.0)
 
 
+# ------------------------------- known-rate region without the tail search
+
+CUT_RATES = (list(np.logspace(-9.0, 6.0, 46))
+             + [float(k) for k in range(1, 41)] + [100.0, 1000.0, 65536.0]
+             + [float(np.nextafter(glm._ENUM_LIMIT, 0.0)), glm._ENUM_LIMIT - 1.0])
+
+
+@pytest.mark.parametrize("alpha", [1e-9, 1e-4, 0.01, 0.05, 0.5])
+def test_known_rate_smallest_region_equals_full_support_build(alpha):
+    # Integer rates give tied modes p(k - 1) = p(k).
+    for lam in CUT_RATES:
+        assert regions._poisson_smallest(lam, alpha) == \
+            regions.build_smallest(pmf_poisson(lam), alpha), lam
+
+
+def test_known_rate_smallest_region_falls_back_to_pmf_poisson(monkeypatch):
+    calls = []
+    full = regions.pmf_poisson
+    monkeypatch.setattr(regions, "pmf_poisson",
+                        lambda lam: calls.append(lam) or full(lam))
+    # lam = 5: the cut mass sorts after the value following the boundary.
+    assert regions._poisson_smallest(5.0, 0.05) == regions.build_smallest(full(5.0), 0.05)
+    assert calls == []
+    # lam = 1e-6: the mass at the cut is below the tail pmf_poisson drops,
+    # so the cut may lie past its support.
+    assert regions._poisson_smallest(1e-6, 0.05) == \
+        regions.build_smallest(full(1e-6), 0.05)
+    assert calls == [1e-6]
+    # With a cut 1.5 sd nearer the mode, lam = 30 and 100 find a boundary
+    # group before the cut but the cut sorts before the value after it;
+    # lam = 412 finds no boundary at all.  Each must fall back.
+    monkeypatch.setattr(regions, "_z",
+                        lambda alpha: normal_quantile(1.0 - alpha / 2.0) - 1.5)
+    for lam in (30.0, 100.0, 412.0):
+        assert regions._poisson_smallest(lam, 0.05) == \
+            regions.build_smallest(full(lam), 0.05)
+    assert calls == [1e-6, 30.0, 100.0, 412.0]
+    with pytest.raises(DomainError):
+        regions._poisson_smallest(-1.0, 0.05)
+    with pytest.raises(DomainError):
+        regions._poisson_smallest(5.0, 1.5)
+
+
 # ---------------------------------------------------------- pmf estimates
 
 

@@ -6,7 +6,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from countpred.errors import DomainError
+from countpred import glm
+from countpred.errors import (
+    DivergenceError,
+    DomainError,
+    NonConvergenceError,
+    SingularityError,
+)
+from countpred.glm import DesignSpec, build_design, design_row, fit, region_regression
 from countpred.regions import (
     hyper_from_mean_sd,
     pmf_gamma_predictive,
@@ -25,7 +32,9 @@ from countpred.simulate import (
     REGRESSION_REGIONS,
     SimConfig,
     _intercept_draws,
+    _draw_regression_instance,
     _intercept_reps,
+    _regression_chunk,
     _rep_rng,
     gen_poisson_regression_data,
     poisson_sampler,
@@ -112,6 +121,59 @@ def test_intercept_chunk_matches_per_replication_build(n, lam, alpha):
     ref_covers, ref_lengths = reference_intercept_chunk(777, 10, 410, n, lam, alpha)
     assert np.array_equal(covers, ref_covers)
     assert np.array_equal(lengths, ref_lengths)
+
+
+def reference_regression_chunk(seed, start, stop, n, p, theta, w_dist, alpha):
+    """Every replication fitted and its three regions built through the
+    public region_regression, one variant per call."""
+    covers, lengths, redraws, rates = [], [], 0, []
+    spec0 = DesignSpec(poly_order=p, standardize=True)
+    for rep in range(start, stop):
+        rng = _rep_rng(seed, rep)
+        while True:
+            w, y, y0, rd = _draw_regression_instance(p, theta, w_dist, n, rng)
+            redraws += rd
+            u = rng.random()
+            try:
+                X, spec = build_design(w[:n], None, spec0)
+                fit_ = fit(X, y, design=spec)
+                x0 = design_row(w[n], None, spec)
+                regs = (region_regression(fit_, x0, alpha, "smallest-plugin", u),
+                        region_regression(fit_, x0, alpha, "normal"),
+                        region_regression(fit_, x0, alpha, "sqrt"))
+            except (SingularityError, NonConvergenceError, DivergenceError):
+                redraws += 1
+                continue
+            break
+        rates.append(glm.rate_and_variance(fit_, x0)[0])
+        covers.append([1 if r.realized_contains(y0) else 0 for r in regs])
+        lengths.append([max(0, r.realized_hi - r.realized_lo) for r in regs])
+    return (np.array(covers, dtype=np.uint8), np.array(lengths, dtype=np.float64),
+            redraws, np.array(rates))
+
+
+# Overflowing draws (eta > 42) are redrawn, and the holdout rate often
+# passes glm._ENUM_LIMIT, where smallest-plugin is a normal interval.
+OVERFLOW_CELL = (12, 2, (12.0, 2.0, 0.6), ("normal", 0.0, 3.0))
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.1])
+@pytest.mark.parametrize("n, p, theta, w_dist", [
+    (200,) + REGRESSION_CASES[1],
+    (30,) + REGRESSION_CASES[4],
+    (30,) + REGRESSION_CASES[3],     # huge extrapolated holdout rates
+    OVERFLOW_CELL,
+])
+def test_regression_chunk_matches_per_replication_build(n, p, theta, w_dist, alpha):
+    args = (777, 10, 110, n, p, theta, w_dist, alpha)
+    covers, lengths, redraws = _regression_chunk(args)
+    ref_covers, ref_lengths, ref_redraws, rates = reference_regression_chunk(*args)
+    assert np.array_equal(covers, ref_covers)
+    assert np.array_equal(lengths, ref_lengths)
+    assert redraws == ref_redraws
+    if (n, p, theta, w_dist) == OVERFLOW_CELL:
+        assert redraws > 0
+        assert (rates > glm._ENUM_LIMIT).any() and (rates <= glm._ENUM_LIMIT).any()
 
 
 def test_intercept_single_total_worker_invariant():
