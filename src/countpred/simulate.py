@@ -3,10 +3,21 @@
 Two experiment shapes: the no-covariate model (draw a rate-estimation
 total T and a future count, build all six estimated-rate regions, tally
 coverage and realized length) and the regression model (draw covariates
-and responses, fit, build the three holdout regions).  Replication r of
-a run seeded s uses its own generator derived from (s, r), and results
-are kept in replication order, so output is bit-identical no matter how
-many worker processes share the work.
+and responses, fit, build the three holdout regions).
+
+Replication r of a run seeded s draws from its own stream: numpy's
+PCG64 seeded through SeedSequence((s, r)), the stream
+``np.random.default_rng(np.random.SeedSequence((s, r)))`` would give.
+Results are kept in replication order, so output is bit-identical no
+matter how many worker processes share the work.  Building that
+generator costs more than a replication's draws, so _rep_rngs derives
+the streams of a whole chunk at once.  SeedSequence hashes its entropy
+words (the 32-bit words of s, then r) with 32-bit integer arithmetic
+only, which runs for every r of the chunk as one numpy expression, and
+PCG64 turns the four 64-bit words it hashes out into a 128-bit state
+and increment by two steps of its own recurrence.  _rep_rngs repeats
+both exactly and assigns the result to one shared generator, so its
+state, and every draw from it, equals numpy's.
 
 The six no-covariate regions depend on the data only through the
 sufficient statistic T and the uniform draw u, and u only decides
@@ -140,8 +151,78 @@ def poisson_sampler(lam: float, rng: np.random.Generator) -> int:
     return int(rng.poisson(lam))
 
 
-def _rep_rng(seed: int, rep: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence((seed, rep)))
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit multiplier (numpy/random/src/pcg64/pcg64.h).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _seed_words(seed: int, reps: np.ndarray) -> np.ndarray:
+    """SeedSequence((seed, rep)).generate_state(4, np.uint64) of every rep,
+    one row each, as its eight 32-bit words, low word first.
+
+    SeedSequence works in uint32 arithmetic, which numpy arrays wrap the
+    same way, so each step runs for all reps at once.
+    """
+    seed = int(seed)
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = [np.full(reps.size, w, dtype=np.uint32) for w in words]
+    entropy.append(reps.astype(np.uint32))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ value >> np.uint32(16)
+
+    def mix(x, y):
+        value = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return value ^ value >> np.uint32(16)
+
+    zero = np.zeros(reps.size, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for extra in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(extra))
+    out = np.empty((reps.size, 2 * _POOL_SIZE), dtype=np.uint32)
+    hash_const = _INIT_B
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        out[:, i] = value ^ value >> np.uint32(16)
+    return out
+
+
+def _rep_rngs(seed: int, start: int, stop: int):
+    """The generator of each replication start..stop-1, in order.
+
+    One Generator is yielded again and again, its PCG64 state set each
+    time to that of np.random.default_rng(np.random.SeedSequence((seed,
+    rep))); draw from it before advancing the iteration.  Needs
+    0 <= seed and 0 <= rep < 2**32, as the runs check.
+    """
+    rng = np.random.Generator(np.random.PCG64(0))
+    for w in _seed_words(seed, np.arange(start, stop)).tolist():
+        initstate = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
+        initseq = w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]
+        # pcg64_set_seed: state 0, inc 2*seq+1, step, add initstate, step.
+        inc = (initseq << 1 | 1) & _MASK128
+        state = ((inc + initstate) * _PCG_MULT + inc) & _MASK128
+        rng.bit_generator.state = {"bit_generator": "PCG64",
+                                   "state": {"state": state, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+        yield rng
 
 
 def _resolve_regression(config: SimConfig):
@@ -214,8 +295,7 @@ def _intercept_draws(args):
     seed, start, stop, n, lam = args
     counts = np.empty((stop - start, 2), dtype=np.int64)
     u = np.empty(stop - start)
-    for j, rep in enumerate(range(start, stop)):
-        rng = _rep_rng(seed, rep)
+    for j, rng in enumerate(_rep_rngs(seed, start, stop)):
         counts[j, 0] = poisson_sampler(n * lam, rng)
         counts[j, 1] = poisson_sampler(lam, rng)
         u[j] = rng.random()
@@ -300,8 +380,7 @@ def _regression_chunk(args):
     y0 = np.empty(m, dtype=np.int64)
     redraws = 0
     base_spec = DesignSpec(poly_order=p, standardize=True)
-    for j, rep in enumerate(range(start, stop)):
-        rng = _rep_rng(seed, rep)
+    for j, rng in enumerate(_rep_rngs(seed, start, stop)):
         while True:
             w, y, y0[j], rd = _draw_regression_instance(p, theta, w_dist, n, rng)
             redraws += rd
@@ -351,14 +430,26 @@ def _chunk_bounds(start: int, stop: int):
     return [(s, min(s + _CHUNK, stop)) for s in range(start, stop, _CHUNK)]
 
 
+def _check_run(config: SimConfig) -> None:
+    """The checks both scenarios share; _rep_rngs needs the seed and the
+    replication numbers to be nonnegative and the latter below 2**32."""
+    if config.replications < 1 or config.n < 1:
+        raise DomainError("replications and n must be >= 1")
+    if config.replications >= 2**32:
+        raise DomainError("replications must be below 2**32")
+    if not isinstance(config.seed, (int, np.integer)) or config.seed < 0:
+        raise DomainError(f"seed must be an integer >= 0, got {config.seed!r}")
+    if config.workers < 1:
+        raise DomainError(f"workers must be >= 1, got {config.workers}")
+
+
 def run_intercept_experiment(config: SimConfig) -> SimResult:
     """Coverage/length table cell for the no-covariate model."""
     if config.scenario != "intercept":
         raise DomainError("config.scenario must be 'intercept'")
     if config.lam is None or config.lam <= 0:
         raise DomainError("intercept scenario requires lam > 0")
-    if config.replications < 1 or config.n < 1:
-        raise DomainError("replications and n must be >= 1")
+    _check_run(config)
     covers, lengths = _intercept_reps(config.seed, 0, config.replications, config.n,
                                       config.lam, config.alpha, config.workers)
     return _reduce(config, INTERCEPT_REGIONS, [(covers, lengths, 0)])
@@ -368,8 +459,7 @@ def run_regression_experiment(config: SimConfig) -> SimResult:
     """Coverage/length table cell for the regression model."""
     if config.scenario != "regression":
         raise DomainError("config.scenario must be 'regression'")
-    if config.replications < 1 or config.n < 1:
-        raise DomainError("replications and n must be >= 1")
+    _check_run(config)
     _check_alpha(config.alpha)
     p, theta, w_dist = _resolve_regression(config)
     args = [(config.seed, s, e, config.n, p, theta, w_dist, config.alpha)

@@ -304,6 +304,17 @@ def test_cli_simulate_csv(tmp_path):
     assert lines[1].split(",")[0] == "n"
 
 
+@pytest.mark.parametrize("scenario", [["--scenario", "intercept", "--lambda", "1"],
+                                      ["--scenario", "regression", "--case", "1"]])
+@pytest.mark.parametrize("bad", [["--seed", "-1"], ["--workers", "0"],
+                                 ["--reps", str(2**32)]])
+def test_cli_simulate_rejects_negative_seed_no_workers_and_too_many_reps(
+        scenario, bad, capsys):
+    code = run_cli(["simulate", "--n", "5", "--reps", "10", *scenario, *bad])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: usage:")
+
+
 def test_cli_exact_props(capsys):
     code = run_cli(["exact-props", "--lambda-grid", "1,5", "--alpha", "0.05"])
     assert code == 0

@@ -35,7 +35,7 @@ from countpred.simulate import (
     _draw_regression_instance,
     _intercept_reps,
     _regression_chunk,
-    _rep_rng,
+    _rep_rngs,
     gen_poisson_regression_data,
     poisson_sampler,
     result_to_csv,
@@ -43,6 +43,11 @@ from countpred.simulate import (
     run_intercept_experiment,
     run_regression_experiment,
 )
+
+
+def numpy_rep_rng(seed, rep):
+    """numpy's own generator for replication rep of a run seeded seed."""
+    return np.random.default_rng(np.random.SeedSequence((seed, rep)))
 
 
 def intercept_config(**kw):
@@ -72,6 +77,23 @@ def test_poisson_sampler_moments():
     assert draws.var(ddof=1) == pytest.approx(7.0, rel=0.06)
 
 
+# 2**100 + 12345 has four 32-bit words, so with the rep word its entropy
+# overflows SeedSequence's four-word pool.
+@pytest.mark.parametrize("seed", [0, 1, 20200315, 2**32 - 1, 2**32, 2**70 + 3,
+                                  2**100 + 12345])
+def test_rep_rngs_equal_numpy_seed_sequence_streams(seed):
+    # reps 0..251 cross the first chunk boundary (_CHUNK = 250); the later
+    # ranges start inside a run and end at the last allowed replication.
+    for start, stop in ((0, 252), (249, 252), (2**32 - 2, 2**32)):
+        reps = range(start, stop)
+        for rep, rng in zip(reps, _rep_rngs(seed, start, stop), strict=True):
+            ref = numpy_rep_rng(seed, rep)
+            assert rng.bit_generator.state == ref.bit_generator.state, rep
+            for draw in (lambda g: g.poisson(3.5, 4), lambda g: g.random(4),
+                         lambda g: g.standard_normal(4)):
+                assert np.array_equal(draw(rng), draw(ref)), rep
+
+
 def test_intercept_experiment_deterministic():
     a = run_intercept_experiment(intercept_config())
     b = run_intercept_experiment(intercept_config())
@@ -91,7 +113,7 @@ def reference_intercept_chunk(seed, start, stop, n, lam, alpha):
     """All six regions built from scratch for every replication."""
     covers, lengths = [], []
     for rep in range(start, stop):
-        rng = _rep_rng(seed, rep)
+        rng = numpy_rep_rng(seed, rep)
         t = poisson_sampler(n * lam, rng)
         y0 = poisson_sampler(lam, rng)
         u = rng.random()
@@ -129,7 +151,7 @@ def reference_regression_chunk(seed, start, stop, n, p, theta, w_dist, alpha):
     covers, lengths, redraws, rates = [], [], 0, []
     spec0 = DesignSpec(poly_order=p, standardize=True)
     for rep in range(start, stop):
-        rng = _rep_rng(seed, rep)
+        rng = numpy_rep_rng(seed, rep)
         while True:
             w, y, y0, rd = _draw_regression_instance(p, theta, w_dist, n, rng)
             redraws += rd
@@ -174,6 +196,17 @@ def test_regression_chunk_matches_per_replication_build(n, p, theta, w_dist, alp
     if (n, p, theta, w_dist) == OVERFLOW_CELL:
         assert redraws > 0
         assert (rates > glm._ENUM_LIMIT).any() and (rates <= glm._ENUM_LIMIT).any()
+
+
+def test_regression_worker_count_invariant():
+    # Two chunks, with overflow redraws: each replication keeps its own
+    # stream whichever worker fits it.
+    n, p, theta, w_dist = OVERFLOW_CELL
+    config = SimConfig(scenario="regression", n=n, replications=260, alpha=0.05,
+                       seed=777, poly_order=p, theta=theta, w_dist=w_dist)
+    results = [run_regression_experiment(replace(config, workers=w)) for w in (1, 2)]
+    assert results[0].redraws > 0
+    assert result_to_csv(results[0]) == result_to_csv(results[1])
 
 
 def test_intercept_single_total_worker_invariant():
@@ -300,6 +333,19 @@ def test_config_validation():
         run_experiment(
             SimConfig(scenario="bogus", n=5, replications=10,
                       alpha=0.05, seed=1))
+
+
+@pytest.mark.parametrize("scenario", [dict(scenario="intercept", lam=1.0),
+                                      dict(scenario="regression", case=1)])
+@pytest.mark.parametrize("bad", [dict(seed=-1), dict(workers=0), dict(workers=-3),
+                                 dict(replications=2**32)])
+def test_run_rejects_negative_seed_no_workers_and_too_many_replications(scenario, bad):
+    config = SimConfig(**{**dict(n=5, replications=10, alpha=0.05, seed=1),
+                          **scenario, **bad})
+    run = (run_intercept_experiment if config.scenario == "intercept"
+           else run_regression_experiment)
+    with pytest.raises(DomainError):
+        run(config)
 
 
 def test_run_experiment_dispatch():
