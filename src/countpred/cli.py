@@ -6,11 +6,16 @@ reallocate.  Single objects print as JSON, tables as CSV with a leading
 randomness is involved, and the resolved configuration.  Exit codes:
 0 success, 1 usage, 2 data problems, 3 numerical failures.  Errors are
 one machine-parsable line on stderr.
+
+``main`` (and ``cli_dispatch``) may be called repeatedly in one process.
+The parser is built once per process and parses each command line into
+a fresh namespace, so no option value carries over between commands.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -160,12 +165,12 @@ def _region_payload(region) -> dict:
 
 def _cmd_fit(args) -> int:
     series = _load_series(args)
-    design = _design_from_args(args)
     w = np.array(series.daynums(), dtype=np.float64)
     y = np.array(series.counts())
     labels = [r.weekday for r in series.records]
 
     table = []
+    chosen = None
     max_order = args.max_order if args.max_order is not None else args.order
     for order in range(1, max_order + 1):
         row = {"order": order}
@@ -176,6 +181,8 @@ def _cmd_fit(args) -> int:
                     DesignSpec(poly_order=order, include_day_factor=with_day,
                                standardize=not args.no_standardize))
                 f = fit(X, y, design=spec)
+                if (order, with_day) == (args.order, args.day_factor):
+                    chosen = f
                 row[f"aic_{tag}"] = f.aic
                 row[f"xi_{tag}"] = _xi_json(estimate_xi(f))
             except _NUMERICAL_ERRORS as exc:
@@ -184,7 +191,9 @@ def _cmd_fit(args) -> int:
                 row[f"error_{tag}"] = str(exc)
         table.append(row)
 
-    chosen = _fit_series(series, design)
+    if chosen is None:
+        # outside the table, or its table fit raised: this raises the same
+        chosen = _fit_series(series, _design_from_args(args))
     xi = estimate_xi(chosen)
     payload = {
         "meta": _meta(args),
@@ -540,10 +549,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The process's parser; ``build_parser`` still returns a fresh one."""
+    return build_parser()
+
+
 def cli_dispatch(argv) -> int:
     """Run one command line; returns the exit status."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _USAGE_ERRORS as exc:

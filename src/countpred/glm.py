@@ -269,10 +269,11 @@ def _spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A x = b for symmetric positive-definite A."""
     try:
         np.linalg.cholesky(A)
+        return np.linalg.solve(A, b)
     except np.linalg.LinAlgError as exc:
+        # solve can still meet an exact zero pivot after the probe passed
         raise SingularityError(
             "information matrix is singular (rank-deficient design)") from exc
-    return np.linalg.solve(A, b)
 
 
 def _orthonormal_basis(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -511,6 +511,16 @@ def region_adjusted_sqrt(n: int, t: int, alpha: float) -> PredictionRegion:
     return _sqrt_interval(t / n, 1.0 + 1.0 / n, alpha)
 
 
+@functools.lru_cache(maxsize=16, typed=True)
+def _cdf(m: int, lam: float) -> float:
+    """poisson_cdf(m, lam), kept for the region bounds of the last few rates.
+
+    The known-rate regions of one rate share bounds, so exact-props asks
+    for each (m, lam) about twice.
+    """
+    return poisson_cdf(m, lam)
+
+
 def exact_region_properties(region: PredictionRegion, lam: float) -> tuple[float, float]:
     """Exact coverage and expected length under a Poisson(lam) truth.
 
@@ -523,7 +533,7 @@ def exact_region_properties(region: PredictionRegion, lam: float) -> tuple[float
     if region.core_set is not None:
         core_mass = sum(math.exp(poisson_log_pmf(k, lam)) for k in region.core_set)
     elif region.core_hi >= region.core_lo:
-        core_mass = poisson_cdf(region.core_hi, lam) - poisson_cdf(region.core_lo - 1, lam)
+        core_mass = _cdf(region.core_hi, lam) - _cdf(region.core_lo - 1, lam)
     else:
         core_mass = 0.0
     bound_mass = sum(math.exp(poisson_log_pmf(k, lam)) for k in region.boundary)

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from countpred.cli import cli_dispatch
+from countpred import cli
+from countpred.cli import build_parser, cli_dispatch
 from countpred.data import (
     DAYNUM_EPOCH,
     DailySeries,
@@ -21,7 +22,9 @@ from countpred.data import (
     weekday_of_daynum,
     write_ecdc_csv,
 )
-from countpred.errors import AdjustmentError, DataError
+from countpred.errors import AdjustmentError, DataError, SingularityError
+from countpred.glm import DesignSpec, fit, residual_diagnostics
+from countpred.overdispersion import estimate_xi
 
 
 # ------------------------------------------------------------- calendar
@@ -229,6 +232,100 @@ def test_cli_fit_json(series_csv, tmp_path, capsys):
     # raw and standardized parameterizations agree on the fitted rates
     raw = payload["theta_raw"]
     assert len(raw) == len(payload["theta_standardized"])
+
+
+def run_captured(argv, capsys):
+    """(exit code, stdout, stderr) of one command line."""
+    try:
+        code = cli_dispatch(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_cli_commands_sharing_the_parser_stay_isolated(series_csv, monkeypatch, capsys):
+    assert cli._parser() is cli._parser()
+    assert build_parser() is not build_parser()
+    data = ["--data", series_csv, "--country", "Testland"]
+    commands = [
+        ["fit", *data, "--order", "2", "--day-factor", "--max-order", "3"],
+        ["fit", *data, "--max-order", "4", "--order", "two"],      # usage error
+        ["forecast", *data, "--order", "2", "--target-daynum", "125"],
+        ["exact-props", "--lambda-grid", "0.5,3", "--alpha", "0.1"],
+        ["--help"],
+        ["fit", *data, "--order", "1"],
+    ]
+    shared = [run_captured(argv, capsys) for argv in commands]
+    monkeypatch.setattr(cli, "_parser", build_parser)
+    fresh = [run_captured(argv, capsys) for argv in commands]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 1, 0, 0, 0, 0]
+
+    configs = [json.loads(shared[i][1])["meta"]["config"] for i in (0, 2, 5)]
+    assert configs[0]["max_order"] == 3 and configs[0]["day_factor"] is True
+    assert "max_order" not in configs[1] and configs[1]["day_factor"] is False
+    assert configs[2]["max_order"] is None and configs[2]["day_factor"] is False
+    assert configs[2]["order"] == 1
+    exact_config = json.loads(shared[3][1].split("\n")[0][2:])["config"]
+    assert set(exact_config) == {"alpha", "lambda_grid", "out"}
+
+
+@pytest.mark.parametrize("day_factor", [True, False])
+@pytest.mark.parametrize("order, max_order", [(2, 3), (3, 2)])
+def test_cli_fit_reuses_the_table_fit_of_the_chosen_design(
+        series_csv, monkeypatch, capsys, order, max_order, day_factor):
+    fits = []
+    monkeypatch.setattr(cli, "fit", lambda *a, **kw: fits.append(a) or fit(*a, **kw))
+    argv = ["fit", "--data", series_csv, "--country", "Testland",
+            "--order", str(order), "--max-order", str(max_order)]
+    code = run_cli(argv + (["--day-factor"] if day_factor else []))
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    # one fit per design of the table, and one more only outside it
+    assert len(fits) == 2 * max_order + (order > max_order)
+
+    series = parse_ecdc_csv(series_csv, "Testland")
+    design = DesignSpec(poly_order=order, include_day_factor=day_factor,
+                        standardize=True)
+    ref = cli._fit_series(series, design)
+    diag = residual_diagnostics(ref, 6)
+    expected = {
+        "theta_standardized": [float(v) for v in ref.theta],
+        "theta_raw": cli._raw_theta(ref.theta, ref.design),
+        "loglik": ref.loglik,
+        "aic": ref.aic,
+        "xi_hat": cli._xi_json(estimate_xi(ref)),
+        "converged": ref.converged,
+        "iterations": ref.iterations,
+        "newton_decrement": ref.decrement,
+        "step_halvings": ref.halvings,
+        "diagnostics": {"table": diag.table.tolist(), "statistic": diag.statistic,
+                        "df": diag.df, "p_value": diag.p_value,
+                        "bin_edges": list(diag.bin_edges)},
+    }
+    expected = json.loads(json.dumps(expected, default=cli._json_default))
+    assert {k: payload[k] for k in expected} == expected
+    if order <= max_order:
+        tag = "aic_d" if day_factor else "aic_nd"
+        assert payload["aic"] == payload["aic_table"][order - 1][tag]
+
+
+def test_cli_fit_refits_when_the_table_fit_of_the_chosen_design_raised(
+        series_csv, monkeypatch, capsys):
+    # order 2 with weekday dummies is the only 9-column design of the table
+    def singular_at_nine_columns(X, y, design=None):
+        if X.shape[1] == 9:
+            raise SingularityError("information matrix is singular")
+        return fit(X, y, design=design)
+
+    monkeypatch.setattr(cli, "fit", singular_at_nine_columns)
+    code = run_cli(["fit", "--data", series_csv, "--country", "Testland",
+                    "--order", "2", "--day-factor", "--max-order", "3"])
+    assert code == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: numerical: information matrix is singular\n"
 
 
 def test_cli_fit_stdout_json(series_csv, capsys):

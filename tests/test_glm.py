@@ -374,6 +374,16 @@ def test_diagnostics_errors():
         residual_diagnostics(diag_fit([1.0] * 30))    # no nonpositive column
 
 
+def test_spd_solve_turns_a_failed_solve_into_singularity(monkeypatch):
+    # The Cholesky probe passes, then solve meets an exact zero pivot.
+    def zero_pivot(A, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", zero_pivot)
+    with pytest.raises(SingularityError):
+        glm._spd_solve(np.eye(2), np.ones(2))
+
+
 def test_fit_input_validation():
     with pytest.raises(DomainError):
         fit(np.ones((3, 1)), [1, -2, 3])

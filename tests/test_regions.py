@@ -33,7 +33,8 @@ from countpred import (
     region_smallest,
     region_sqrt_known,
 )
-from countpred.special import normal_quantile
+from countpred.cli import _parse_grid, cli_dispatch
+from countpred.special import normal_quantile, poisson_cdf, poisson_log_pmf
 
 Z975 = 1.959963984540054
 
@@ -148,6 +149,78 @@ def test_expected_length_mixes_realizations():
     _, length = exact_region_properties(region, 1.0)
     gamma = region.boundary_prob
     assert length == pytest.approx(gamma * 3.0 + (1.0 - gamma) * 2.0, abs=1e-12)
+
+
+def exact_props_regions(lam, alpha):
+    """The four known-rate regions of one exact-props row."""
+    randomized = regions.realize(regions._poisson_smallest(lam, alpha), 0.0)
+    return [randomized, region_nonrandomized(randomized),
+            region_normal_known(lam, alpha), region_sqrt_known(lam, alpha)]
+
+
+def direct_coverage(region, lam):
+    """exact_region_properties' coverage with one poisson_cdf per bound."""
+    if region.core_set is not None:
+        core = sum(math.exp(poisson_log_pmf(k, lam)) for k in region.core_set)
+    elif region.core_hi >= region.core_lo:
+        core = poisson_cdf(region.core_hi, lam) - poisson_cdf(region.core_lo - 1, lam)
+    else:
+        core = 0.0
+    bound = sum(math.exp(poisson_log_pmf(k, lam)) for k in region.boundary)
+    return core + region.boundary_prob * bound
+
+
+def test_exact_properties_memo_equals_direct_formula():
+    regions._cdf.cache_clear()
+    gapped = PredictionRegion(core_lo=1, core_hi=6, boundary=(0, 7), boundary_prob=0.25,
+                              realized_lo=1, realized_hi=6, level=0.9, length=5.0,
+                              core_set=(1, 2, 6))
+    empty = PredictionRegion(core_lo=3, core_hi=2, boundary=(3,), boundary_prob=0.4,
+                             realized_lo=3, realized_hi=2, level=0.9, length=0.0)
+    pool = [gapped, empty]
+    for lam in (0.05, 0.3, 0.9, 4.0, 17.5, 250.0):
+        pool += exact_props_regions(lam, 0.05) + exact_props_regions(lam, 0.01)
+    # Rates interleaved, every region at every rate: far more (m, lam) keys
+    # than the memo holds, and each rate comes back after its eviction.
+    for step in (1, -1):
+        for lam in (0.3, 17.5, 0.05, 250.0, 0.3, 4.0, 0.9, 17.5, 0.3):
+            for region in pool[::step]:
+                assert exact_region_properties(region, lam)[0] == \
+                    direct_coverage(region, lam), (region, lam)
+
+
+def exact_props_rows(grids, capsys):
+    """lambda -> CSV rows of exact-props, one command per grid."""
+    rows = {}
+    for grid in grids:
+        assert cli_dispatch(["exact-props", "--alpha", "0.05", "--lambda-grid", grid]) == 0
+        for line in capsys.readouterr().out.splitlines()[2:]:
+            rows.setdefault(line.split(",")[0], []).append(line)
+    return rows
+
+
+def test_exact_props_rows_independent_of_grid_order(capsys):
+    lams = [repr(lam) for lam in _parse_grid("0.05:5:0.05")] + ["0.001", "250.0"]
+    forward = exact_props_rows([",".join(lams)], capsys)
+    assert len(forward) == len(lams)
+    assert exact_props_rows([",".join(reversed(lams))], capsys) == forward
+    assert exact_props_rows(lams, capsys) == forward
+
+
+def test_exact_props_computes_each_region_bound_cdf_once(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(regions, "poisson_cdf",
+                        lambda m, lam: calls.append((m, lam)) or poisson_cdf(m, lam))
+    regions._cdf.cache_clear()
+    assert cli_dispatch(["exact-props", "--alpha", "0.05",
+                         "--lambda-grid", "0.05:5:0.05"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 2 + 100
+    bounds = [(m, lam) for lam in _parse_grid("0.05:5:0.05")
+              for r in exact_props_regions(lam, 0.05) if r.core_hi >= r.core_lo
+              for m in (r.core_hi, r.core_lo - 1)]
+    # one poisson_cdf per distinct bound: 427 of the 798 lookups
+    assert sorted(calls) == sorted(set(bounds))
+    assert len(calls) < 0.6 * len(bounds)
 
 
 def test_region_input_validation():

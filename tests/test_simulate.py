@@ -209,6 +209,18 @@ def test_regression_worker_count_invariant():
     assert result_to_csv(results[0]) == result_to_csv(results[1])
 
 
+def test_regression_redraws_when_solve_meets_a_zero_pivot():
+    # One draw of this run has a count of 3.0e17.  Its information passes
+    # the Cholesky probe in rate_and_variance, but solve then meets an
+    # exact zero pivot; the draw must be redrawn like any singular fit.
+    config = SimConfig(scenario="regression", n=12, replications=260, alpha=0.05,
+                       seed=777, poly_order=2, theta=(1.0, 2.0, 0.6),
+                       w_dist=("normal", 0.0, 3.0))
+    result = run_regression_experiment(config)
+    assert result.redraws > 0
+    assert result_to_csv(result) == result_to_csv(run_regression_experiment(config))
+
+
 def test_intercept_single_total_worker_invariant():
     # n * lam = 1e-6: every total is 0, so there are more workers than
     # distinct totals to build regions for.
