@@ -7,6 +7,10 @@ randomness is involved, and the resolved configuration.  Exit codes:
 0 success, 1 usage, 2 data problems, 3 numerical failures.  Errors are
 one machine-parsable line on stderr.
 
+``--cutoffs``, ``--daynum`` and ``--lambda-grid`` take comma lists of
+values and start:stop[:step] ranges, stop included; a malformed or
+non-finite value there or in ``--theta`` and ``--w-dist`` exits 1.
+
 ``main`` (and ``cli_dispatch``) may be called repeatedly in one process.
 The parser is built once per process and parses each command line into
 a fresh namespace, so no option value carries over between commands.
@@ -19,11 +23,12 @@ import functools
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
-from .data import DailySeries, load_adjustments, parse_ecdc_csv
+from .data import DailySeries, load_adjustments, parse_ecdc_csv, weekday_of_daynum
 from .errors import (
     AdjustmentError,
     DataError,
@@ -43,15 +48,16 @@ from .forecast import (
 )
 from .glm import (
     DesignSpec,
+    _variant_region,
     build_design,
     design_row,
     fit,
     rate_and_variance,
-    region_regression,
     residual_diagnostics,
 )
 from .overdispersion import estimate_xi, fit_overdispersed, region_overdispersed
 from .regions import (
+    _check_alpha,
     _poisson_smallest,
     exact_region_properties,
     realize,
@@ -84,14 +90,58 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _meta(args: argparse.Namespace, seed=None) -> dict:
+def _meta(args: argparse.Namespace) -> dict:
     config = {k: v for k, v in sorted(vars(args).items())
               if k not in ("command", "func")}
-    return {"version": __version__, "seed": seed, "config": config}
+    return {"version": __version__, "seed": None, "config": config}
 
 
-def _meta_csv_line(args: argparse.Namespace, seed=None) -> str:
-    return "# " + json.dumps(_meta(args, seed), default=str)
+def _meta_csv_line(args: argparse.Namespace) -> str:
+    return "# " + json.dumps(_meta(args), default=str)
+
+
+def _convert(text: str, convert):
+    """convert(text) when that is a finite number; DomainError otherwise."""
+    try:
+        value = convert(text)
+        if math.isfinite(value):
+            return value
+    except (ValueError, OverflowError):
+        pass
+    raise DomainError(f"cannot read {text.strip()!r} as a finite {convert.__name__}")
+
+
+def _parse_values(text: str, convert) -> list:
+    """Values of a comma list of numbers and start:stop[:step] ranges.
+
+    ``convert`` (int or float) reads each number.  A range steps by 1 by
+    default and keeps round(v, 10), v += step, while v <= stop + 1e-9.
+    An unreadable or non-finite number, an empty list, a range of more
+    than three parts or a step <= 0 raises DomainError.
+    """
+    values = []
+    for part in text.split(","):
+        part = part.strip()
+        if not part:
+            continue
+        pieces = part.split(":")
+        if len(pieces) > 3:
+            raise DomainError(f"bad range {part!r}; use start:stop[:step]")
+        pieces = [_convert(piece, convert) for piece in pieces]
+        if len(pieces) == 1:
+            values.append(pieces[0])
+            continue
+        start, stop = pieces[:2]
+        step = pieces[2] if len(pieces) == 3 else convert(1)
+        if step <= 0:
+            raise DomainError(f"range step must be positive in {part!r}")
+        v = start
+        while v <= stop + 1e-9:
+            values.append(round(v, 10))
+            v += step
+    if not values:
+        raise DomainError(f"no values in {text!r}")
+    return values
 
 
 def _json_default(value):
@@ -148,41 +198,21 @@ def _raw_theta(theta: np.ndarray, spec: DesignSpec) -> list[float]:
     return [float(v) for v in raw]
 
 
-def _region_payload(region) -> dict:
-    return {
-        "lower": region.realized_lo,
-        "upper": region.realized_hi,
-        "core": [region.core_lo, region.core_hi],
-        "boundary": list(region.boundary),
-        "boundary_prob": region.boundary_prob,
-        "level": region.level,
-        "length": region.length,
-    }
-
-
 # ---------------------------------------------------------------- fit
 
 
 def _cmd_fit(args) -> int:
     series = _load_series(args)
-    w = np.array(series.daynums(), dtype=np.float64)
-    y = np.array(series.counts())
-    labels = [r.weekday for r in series.records]
-
+    design = _design_from_args(args)
+    chosen = _fit_series(series, design)
     table = []
-    chosen = None
     max_order = args.max_order if args.max_order is not None else args.order
     for order in range(1, max_order + 1):
         row = {"order": order}
         for tag, with_day in (("nd", False), ("d", True)):
             try:
-                X, spec = build_design(
-                    w, labels if with_day else None,
-                    DesignSpec(poly_order=order, include_day_factor=with_day,
-                               standardize=not args.no_standardize))
-                f = fit(X, y, design=spec)
-                if (order, with_day) == (args.order, args.day_factor):
-                    chosen = f
+                cell = replace(design, poly_order=order, include_day_factor=with_day)
+                f = chosen if cell == design else _fit_series(series, cell)
                 row[f"aic_{tag}"] = f.aic
                 row[f"xi_{tag}"] = _xi_json(estimate_xi(f))
             except _NUMERICAL_ERRORS as exc:
@@ -191,9 +221,6 @@ def _cmd_fit(args) -> int:
                 row[f"error_{tag}"] = str(exc)
         table.append(row)
 
-    if chosen is None:
-        # outside the table, or its table fit raised: this raises the same
-        chosen = _fit_series(series, _design_from_args(args))
     xi = estimate_xi(chosen)
     payload = {
         "meta": _meta(args),
@@ -237,31 +264,27 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    series = _load_series(args)
-    design = _design_from_args(args)
-    base = _fit_series(series, design)
+    daynums = _parse_values(args.daynum, int)
+    _check_alpha(args.alpha)
+    base = _fit_series(_load_series(args), _design_from_args(args))
     over = fit_overdispersed(base) if args.variant == "overdispersed" else None
-
-    daynums = []
-    if args.daynum:
-        for part in args.daynum.split(","):
-            daynums.append(int(part))
-    if not daynums:
-        raise DomainError("predict needs --daynum")
     rows = []
-    from .data import weekday_of_daynum
     for daynum in daynums:
-        label = weekday_of_daynum(daynum) if design.include_day_factor else None
+        label = weekday_of_daynum(daynum) if base.design.include_day_factor else None
         x0 = design_row(float(daynum), label, base.design)
         lam0, vhat = rate_and_variance(base, x0)
-        if args.variant == "overdispersed":
+        if over is not None:
             region = region_overdispersed(over, x0, args.alpha)
         else:
-            region = region_regression(base, x0, args.alpha, args.variant, args.u)
-        row = {"daynum": daynum, "rate": lam0, "variance_factor": vhat,
-               "variant": args.variant}
-        row.update(_region_payload(region))
-        rows.append(row)
+            region = realize(_variant_region(lam0, vhat, args.alpha, args.variant),
+                             args.u)
+        rows.append({"daynum": daynum, "rate": lam0, "variance_factor": vhat,
+                     "variant": args.variant, "lower": region.realized_lo,
+                     "upper": region.realized_hi,
+                     "core": [region.core_lo, region.core_hi],
+                     "boundary": list(region.boundary),
+                     "boundary_prob": region.boundary_prob,
+                     "level": region.level, "length": region.length})
     payload = {"meta": _meta(args), "predictions": rows}
     if over is not None:
         payload["xi_hat"] = _xi_json(over.xi)
@@ -274,8 +297,7 @@ def _cmd_predict(args) -> int:
 
 def _cmd_forecast(args) -> int:
     series = _load_series(args)
-    design = _design_from_args(args)
-    base = _fit_series(series, design)
+    base = _fit_series(series, _design_from_args(args))
     fitted = fit_overdispersed(base) if args.overdispersed else base
     result = cumulative_forecast(fitted, series, args.target_daynum, args.alpha,
                                  allow_long_horizon=args.allow_long_horizon)
@@ -308,29 +330,10 @@ def _cmd_forecast(args) -> int:
 # --------------------------------------------------------------- sweep
 
 
-def _parse_cutoffs(text: str) -> list[int]:
-    out: list[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if ":" in part:
-            pieces = part.split(":")
-            if len(pieces) not in (2, 3):
-                raise DomainError(f"bad cutoff range {part!r}")
-            start, stop = int(pieces[0]), int(pieces[1])
-            step = int(pieces[2]) if len(pieces) == 3 else 1
-            out.extend(range(start, stop + 1, step))
-        elif part:
-            out.append(int(part))
-    if not out:
-        raise DomainError("no cutoffs given")
-    return out
-
-
 def _cmd_sweep(args) -> int:
-    series = _load_series(args)
-    design = _design_from_args(args)
-    rows = sensitivity_sweep(series, design, args.target_daynum, args.alpha,
-                             _parse_cutoffs(args.cutoffs),
+    cutoffs = _parse_values(args.cutoffs, int)
+    rows = sensitivity_sweep(_load_series(args), _design_from_args(args),
+                             args.target_daynum, args.alpha, cutoffs,
                              overdispersed=args.overdispersed)
     lines = [_meta_csv_line(args),
              "cutoff_daynum,s_current,xi_hat,point,lower,upper,error"]
@@ -357,14 +360,14 @@ def _parse_w_dist(text: str) -> tuple:
         if len(parts) == 1:
             return ("uniform", 0.0, 1.0)
         if len(parts) == 3:
-            return ("uniform", float(parts[1]), float(parts[2]))
+            return ("uniform", _convert(parts[1], float), _convert(parts[2], float))
     if parts[0] == "normal" and len(parts) == 3:
-        return ("normal", float(parts[1]), float(parts[2]))
+        return ("normal", _convert(parts[1], float), _convert(parts[2], float))
     raise DomainError(f"bad covariate law {text!r}; use uniform[,lo,hi] or normal,mu,sd")
 
 
 def _cmd_simulate(args) -> int:
-    theta = tuple(float(v) for v in args.theta.split(",")) if args.theta else None
+    theta = tuple(_convert(v, float) for v in args.theta.split(",")) if args.theta else None
     w_dist = _parse_w_dist(args.w_dist) if args.w_dist else None
     config = SimConfig(
         scenario=args.scenario,
@@ -387,34 +390,11 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------- exact-props
 
 
-def _parse_grid(text: str) -> list[float]:
-    values: list[float] = []
-    for part in text.split(","):
-        part = part.strip()
-        if ":" in part:
-            pieces = part.split(":")
-            if len(pieces) not in (2, 3):
-                raise DomainError(f"bad grid range {part!r}")
-            start, stop = float(pieces[0]), float(pieces[1])
-            step = float(pieces[2]) if len(pieces) == 3 else 1.0
-            if step <= 0:
-                raise DomainError("grid step must be positive")
-            v = start
-            while v <= stop + 1e-9:
-                values.append(round(v, 10))
-                v += step
-        elif part:
-            values.append(float(part))
-    if not values:
-        raise DomainError("empty lambda grid")
-    return values
-
-
 def _cmd_exact_props(args) -> int:
     lines = [_meta_csv_line(args),
              "lambda,Gam0R_coverage,Gam0R_length,Gam0N_coverage,Gam0N_length,"
              "Gam1_coverage,Gam1_length,Gam2_coverage,Gam2_length"]
-    for lam in _parse_grid(args.lambda_grid):
+    for lam in _parse_values(args.lambda_grid, float):
         randomized = realize(_poisson_smallest(lam, args.alpha), 0.0)
         cells = []
         for region in (randomized, region_nonrandomized(randomized),
@@ -489,7 +469,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_args(p)
     _add_model_args(p)
     p.add_argument("--daynum", required=True,
-                   help="comma-separated day numbers to predict at")
+                   help="day numbers to predict at: comma list and/or "
+                        "start:stop[:step] ranges")
     p.add_argument("--variant", default="normal",
                    choices=["smallest-plugin", "normal", "sqrt", "overdispersed"])
     p.add_argument("--u", type=float, default=0.0,

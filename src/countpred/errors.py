@@ -17,9 +17,9 @@ class DivergenceError(CountpredError):
     """A linear predictor or a prediction interval overflowed.
 
     Raised when the exponential link overflows, or when an interval
-    comes out with a non-finite bound or a negative variance.  Usually
-    means the design should be standardized before fitting, or that a
-    forecast extrapolates too far beyond the data.
+    comes out with a non-finite bound or a negative variance.  A linear
+    predictor above 700 comes from the data or from an extrapolation; it
+    is the same in every column basis, so standardizing cannot prevent it.
     """
 
 

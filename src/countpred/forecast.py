@@ -79,8 +79,7 @@ def alpha_star(alpha: float, horizon: int) -> float:
 
 
 def cumulative_forecast(fit_, series: DailySeries, target_daynum: int,
-                        alpha: float, max_horizon: int = MAX_HORIZON,
-                        allow_long_horizon: bool = False) -> ForecastResult:
+                        alpha: float, allow_long_horizon: bool = False) -> ForecastResult:
     """Forecast the cumulative count at a future day.
 
     Builds a covariate row for every day after the series end, forms a
@@ -107,9 +106,9 @@ def cumulative_forecast(fit_, series: DailySeries, target_daynum: int,
     if horizon < 1:
         raise HorizonError(
             f"target day {target_daynum} is not after the last observed day {last}")
-    if horizon > max_horizon and not allow_long_horizon:
+    if horizon > MAX_HORIZON and not allow_long_horizon:
         raise HorizonError(
-            f"horizon {horizon} exceeds the maximum {max_horizon}; "
+            f"horizon {horizon} exceeds the maximum {MAX_HORIZON}; "
             "pass allow_long_horizon to override")
     a_star = alpha_star(alpha, horizon)
     s_current = series.total()

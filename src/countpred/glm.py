@@ -202,7 +202,8 @@ def _linear_predictor(theta: np.ndarray, X: np.ndarray) -> np.ndarray:
     eta = X @ theta
     if (eta > _EXP_LIMIT).any():
         raise DivergenceError(
-            "linear predictor overflows exp; consider standardizing covariate columns")
+            f"linear predictor above {_EXP_LIMIT:g} overflows exp: the data or "
+            "an extrapolation give a rate too large for float64")
     return eta
 
 
@@ -405,14 +406,12 @@ def region_regression(fit_: GlmFit, x0, alpha: float, variant: str,
 
     ``normal`` and ``sqrt`` account for parameter uncertainty through
     the pivotal variance factor; ``smallest-plugin`` enumerates the
-    plug-in pmf at the predicted rate and ignores that factor.
+    plug-in pmf at the predicted rate and ignores that factor.  ``realize``
+    applies the uniform draw u, which must lie in [0, 1] for every variant.
     """
     _check_alpha(alpha)
     lam0, vhat = rate_and_variance(fit_, x0)
-    region = _variant_region(lam0, vhat, alpha, variant)
-    if variant == "smallest-plugin" and lam0 <= _ENUM_LIMIT:
-        return realize(region, u)
-    return region
+    return realize(_variant_region(lam0, vhat, alpha, variant), u)
 
 
 def _variant_region(lam0: float, vhat: float, alpha: float,

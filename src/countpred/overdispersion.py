@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DesignError, DivergenceError, DomainError, SingularityError
+from .errors import DivergenceError, DomainError, SingularityError
 from .glm import GlmFit, _orthonormal_basis, _predicted_rate, region_regression
 from .regions import PredictionRegion, _check_alpha, _normal_interval
 
@@ -100,7 +100,7 @@ def _assemble_factors(theta, xi, X, y):
     return sigma, omega
 
 
-def sandwich_covariance(base_fit: GlmFit, xi: float, X=None, y=None) -> np.ndarray:
+def sandwich_covariance(base_fit: GlmFit, xi: float) -> np.ndarray:
     """Joint covariance estimate of (theta, xi) from the estimating equations.
 
     Assembles the outer-product estimate Sigma of the estimating
@@ -114,23 +114,16 @@ def sandwich_covariance(base_fit: GlmFit, xi: float, X=None, y=None) -> np.ndarr
     conditioned even when the columns of X are nearly collinear.  The
     sandwich is equivariant under theta -> R theta, so mapping back
     with T = diag(R^-1, 1) gives the same estimator in the caller's
-    basis, T (Omega_Q^-1 Sigma_Q Omega_Q^-T) T'.  An X whose columns do
-    not match theta, or a y whose length does not match the rows of X,
-    raises DesignError; a rank-deficient X raises SingularityError.
+    basis, T (Omega_Q^-1 Sigma_Q Omega_Q^-T) T'.
     """
     if not math.isfinite(xi) or xi <= 0:
         raise DomainError(f"sandwich_covariance requires finite xi > 0, got {xi}")
-    X = base_fit.X if X is None else np.asarray(X, dtype=np.float64)
-    y = base_fit.y if y is None else np.asarray(y)
-    if X.ndim != 2 or X.shape[1] != base_fit.theta.size or y.shape != (X.shape[0],):
-        raise DesignError(
-            f"sandwich_covariance needs X with {base_fit.theta.size} columns and "
-            f"one y per row; got X {X.shape}, y {y.shape}")
-    k = X.shape[1]
-    Q, R = _orthonormal_basis(X)
+    k = base_fit.theta.size
+    Q, R = _orthonormal_basis(base_fit.X)
     T = np.eye(k + 1)
     T[:k, :k] = np.linalg.solve(R, np.eye(k))
-    sigma, omega = _assemble_factors(R @ base_fit.theta, xi, Q, y.astype(np.float64))
+    sigma, omega = _assemble_factors(R @ base_fit.theta, xi, Q,
+                                     base_fit.y.astype(np.float64))
     try:
         omega_inv = T @ np.linalg.inv(omega)
     except np.linalg.LinAlgError as exc:

@@ -105,7 +105,6 @@ class EstimatedPmf:
 
     log_mass: np.ndarray
     support_hi: int
-    descriptor: str
     fallback: bool = False
 
     def mass(self, k: int) -> float:
@@ -119,14 +118,14 @@ def _check_alpha(alpha: float) -> None:
         raise DomainError(f"alpha must lie strictly between 0 and 1, got {alpha}")
 
 
-def pmf_poisson(lam: float, tail_mass: float = TAIL_MASS) -> EstimatedPmf:
-    """Poisson pmf at rate ``lam`` truncated to all but ``tail_mass``."""
+def pmf_poisson(lam: float) -> EstimatedPmf:
+    """Poisson pmf at rate ``lam`` truncated to all but ``TAIL_MASS``."""
     if lam < 0:
         raise DomainError(f"pmf_poisson requires lam >= 0, got {lam}")
     if lam == 0.0:
-        return EstimatedPmf(np.zeros(1), 0, "poisson")
-    hi = poisson_upper_support(lam, tail_mass)
-    return EstimatedPmf(poisson_log_pmf_vector(hi, lam), hi, "poisson")
+        return EstimatedPmf(np.zeros(1), 0)
+    hi = poisson_upper_support(lam, TAIL_MASS)
+    return EstimatedPmf(poisson_log_pmf_vector(hi, lam), hi)
 
 
 def pmf_plugin_ml(n: int, t: int) -> EstimatedPmf:
@@ -135,8 +134,7 @@ def pmf_plugin_ml(n: int, t: int) -> EstimatedPmf:
         raise DomainError(f"pmf_plugin_ml requires n >= 1, got {n}")
     if t < 0:
         raise DomainError(f"pmf_plugin_ml requires t >= 0, got {t}")
-    pmf = pmf_poisson(t / n)
-    return EstimatedPmf(pmf.log_mass, pmf.support_hi, "plug-in ML")
+    return pmf_poisson(t / n)
 
 
 def pmf_taylor(n: int, t: int) -> EstimatedPmf:
@@ -167,7 +165,7 @@ def _taylor_from_plugin(plugin: EstimatedPmf, n: int, t: int) -> EstimatedPmf:
     adjusted /= adjusted.sum()
     with np.errstate(divide="ignore"):
         logm = np.log(adjusted)
-    return EstimatedPmf(logm, hi, "Taylor", fallback=bool(bad.any()))
+    return EstimatedPmf(logm, hi, fallback=bool(bad.any()))
 
 
 def _log_factorials(m: int) -> np.ndarray:
@@ -200,20 +198,20 @@ def pmf_umvue(n: int, t: int) -> EstimatedPmf:
     if n == 1 or t == 0:
         logm = np.full(t + 1, -np.inf)
         logm[t] = 0.0
-        return EstimatedPmf(logm, t, "UMVUE")
+        return EstimatedPmf(logm, t)
     ks = np.arange(t + 1, dtype=np.float64)
     table = _log_factorials(t)
     lchoose = math.lgamma(t + 1) - table[:t + 1] - table[t::-1]
     logm = lchoose + ks * math.log(1.0 / n) + (t - ks) * math.log1p(-1.0 / n)
-    return EstimatedPmf(logm, t, "UMVUE")
+    return EstimatedPmf(logm, t)
 
 
-def pmf_gamma_predictive(n: int, t: int, kappa: float, beta: float,
-                         tail_mass: float = TAIL_MASS) -> EstimatedPmf:
+def pmf_gamma_predictive(n: int, t: int, kappa: float, beta: float) -> EstimatedPmf:
     """Predictive pmf under a gamma(kappa, beta) prior on the rate.
 
     Negative binomial with t + kappa successes and success probability
-    (beta + n)/(beta + n + 1), built by a log-space ratio recurrence.
+    (beta + n)/(beta + n + 1), built by a log-space ratio recurrence and
+    truncated to all but ``TAIL_MASS``.
     """
     if n < 1:
         raise DomainError(f"pmf_gamma_predictive requires n >= 1, got {n}")
@@ -234,8 +232,8 @@ def pmf_gamma_predictive(n: int, t: int, kappa: float, beta: float,
         logm[0] = r * log_succ
         logm[1:] = logm[0] + np.cumsum(steps)
         total = np.exp(logm).sum()
-        if 1.0 - total <= tail_mass:
-            return EstimatedPmf(logm, hi, "gamma-predictive")
+        if 1.0 - total <= TAIL_MASS:
+            return EstimatedPmf(logm, hi)
         hi = int(hi * 1.5) + 10
 
 

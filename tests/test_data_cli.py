@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from countpred import cli
+from countpred import cli, glm
 from countpred.cli import build_parser, cli_dispatch
 from countpred.data import (
     DAYNUM_EPOCH,
@@ -23,7 +23,14 @@ from countpred.data import (
     write_ecdc_csv,
 )
 from countpred.errors import AdjustmentError, DataError, SingularityError
-from countpred.glm import DesignSpec, fit, residual_diagnostics
+from countpred.glm import (
+    DesignSpec,
+    design_row,
+    fit,
+    rate_and_variance,
+    region_regression,
+    residual_diagnostics,
+)
 from countpred.overdispersion import estimate_xi
 
 
@@ -492,3 +499,161 @@ def test_cli_forecast_overflow_exits_numerical(capsys):
                     "--allow-long-horizon"])
     assert code == 3
     assert capsys.readouterr().err.startswith("error: numerical:")
+
+
+# ------------------------------------------------------- list arguments
+
+
+def reference_parse_cutoffs(text):
+    """The sweep's former cutoff parser, kept as the reference for valid specs."""
+    out = []
+    for part in text.split(","):
+        part = part.strip()
+        if ":" in part:
+            pieces = part.split(":")
+            start, stop = int(pieces[0]), int(pieces[1])
+            step = int(pieces[2]) if len(pieces) == 3 else 1
+            out.extend(range(start, stop + 1, step))
+        elif part:
+            out.append(int(part))
+    return out
+
+
+def reference_parse_grid(text):
+    """The exact-props' former lambda-grid parser, the reference for valid specs."""
+    values = []
+    for part in text.split(","):
+        part = part.strip()
+        if ":" in part:
+            pieces = part.split(":")
+            start, stop = float(pieces[0]), float(pieces[1])
+            step = float(pieces[2]) if len(pieces) == 3 else 1.0
+            v = start
+            while v <= stop + 1e-9:
+                values.append(round(v, 10))
+                v += step
+        elif part:
+            values.append(float(part))
+    return values
+
+
+# the benchmark's exact-props grids: 100 commands of 100 rows, step 0.05
+BENCH_GRIDS = [f"{(i * 100 + 1) * 0.05:.2f}:{(i + 1) * 100 * 0.05:.2f}:0.05"
+               for i in range(100)]
+
+
+@pytest.mark.parametrize("spec", ["137", "137:153", "100,120:130:5,140", " 80 : 185 : 3 ,",
+                                  "120:130:20", "5:5", "150:151,137", "-3:3:2"])
+def test_parse_values_matches_the_former_cutoff_parser(spec):
+    got = cli._parse_values(spec, int)
+    assert got == reference_parse_cutoffs(spec)
+    assert all(type(v) is int for v in got)
+
+
+@pytest.mark.parametrize("specs", [BENCH_GRIDS] + [[spec] for spec in (
+    "0.05:500:0.05", "0.01:50:0.01", "0.5:2000:0.5", "1:200", "0.2:100:0.2",
+    "0.001,0.3,0.7,1,2,3,1e3,1e4,1e5", "0.05,500", "2.5:3.5:0.1,7")])
+def test_parse_values_matches_the_former_grid_parser(specs):
+    for spec in specs:
+        got = cli._parse_values(spec, float)
+        assert [repr(v) for v in got] == [repr(v) for v in reference_parse_grid(spec)]
+
+
+def test_predict_accepts_daynum_ranges(series_csv, capsys):
+    data = ["predict", "--data", series_csv, "--country", "Testland", "--order", "2"]
+    _, ranged, _ = run_captured([*data, "--daynum", "120:124:2"], capsys)
+    _, listed, _ = run_captured([*data, "--daynum", "120,122,124"], capsys)
+    rows = json.loads(ranged)["predictions"]
+    assert [r["daynum"] for r in rows] == [120, 122, 124]
+    assert rows == json.loads(listed)["predictions"]
+
+
+MALFORMED = [
+    ("sweep", "--cutoffs", "12x"), ("sweep", "--cutoffs", ""), ("sweep", "--cutoffs", ","),
+    ("sweep", "--cutoffs", "1:2:3:4"), ("sweep", "--cutoffs", "120:"),
+    ("sweep", "--cutoffs", "120:130:0"),        # was a crash in range()
+    ("sweep", "--cutoffs", "130:120:-1"),       # was a silent sweep of 122..130
+    ("sweep", "--cutoffs", "119:121:1.5"),
+    ("exact-props", "--lambda-grid", "abc"), ("exact-props", "--lambda-grid", "1:2:0"),
+    ("exact-props", "--lambda-grid", "1:2:3:4"), ("exact-props", "--lambda-grid", "0.5:x"),
+    ("exact-props", "--lambda-grid", " , "), ("exact-props", "--lambda-grid", "nan"),
+    ("exact-props", "--lambda-grid", "0.5:inf"), ("sweep", "--cutoffs", "1" + "0" * 400),
+    ("predict", "--daynum", "120,x"), ("predict", "--daynum", "120.5"),
+    ("predict", "--daynum", "120:125:-1"), ("predict", "--daynum", ""),
+    ("simulate", "--theta", "1,abc"), ("simulate", "--theta", "1,,2"),
+    ("simulate", "--w-dist", "normal,0,x"), ("simulate", "--w-dist", "uniform,a,1"),
+    ("simulate", "--theta", "1,inf"), ("simulate", "--w-dist", "normal,0,nan"),
+]
+
+
+@pytest.mark.parametrize("command, option, value", MALFORMED)
+def test_malformed_list_values_exit_with_one_usage_line(series_csv, capsys,
+                                                        command, option, value):
+    data = ["--data", series_csv, "--country", "Testland"]
+    rest = {
+        "sweep": [*data, "--order", "2", "--target-daynum", "122"],
+        "exact-props": [],
+        "predict": [*data, "--order", "2"],
+        "simulate": ["--scenario", "regression", "--n", "10", "--order", "1",
+                     "--theta", "1,0.5", "--w-dist", "uniform", "--reps", "10"],
+    }[command]
+    code, out, err = run_captured([command, *rest, option, value], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: usage:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("variant, u", [("normal", "0"), ("sqrt", "0.3"),
+                                        ("smallest-plugin", "0.5"),
+                                        ("smallest-plugin", "1")])
+def test_cli_predict_computes_each_rate_once(series_csv, monkeypatch, capsys, variant, u):
+    calls = []
+    counted = lambda f, x0: calls.append(x0) or rate_and_variance(f, x0)  # noqa: E731
+    monkeypatch.setattr(cli, "rate_and_variance", counted)
+    monkeypatch.setattr(glm, "rate_and_variance", counted)
+    code = run_cli(["predict", "--data", series_csv, "--country", "Testland",
+                    "--order", "2", "--day-factor", "--daynum", "122,123,130",
+                    "--variant", variant, "--u", u, "--alpha", "0.1"])
+    assert code == 0
+    assert len(calls) == 3
+    payload = json.loads(capsys.readouterr().out)
+
+    base = cli._fit_series(parse_ecdc_csv(series_csv, "Testland"),
+                           DesignSpec(poly_order=2, include_day_factor=True,
+                                      standardize=True))
+    expected = []
+    for daynum in (122, 123, 130):
+        x0 = design_row(float(daynum), weekday_of_daynum(daynum), base.design)
+        lam0, vhat = rate_and_variance(base, x0)
+        region = region_regression(base, x0, 0.1, variant, float(u))
+        expected.append({"daynum": daynum, "rate": lam0, "variance_factor": vhat,
+                         "variant": variant, "lower": region.realized_lo,
+                         "upper": region.realized_hi,
+                         "core": [region.core_lo, region.core_hi],
+                         "boundary": list(region.boundary),
+                         "boundary_prob": region.boundary_prob,
+                         "level": region.level, "length": region.length})
+    assert payload["predictions"] == json.loads(json.dumps(expected))
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_command_lines():
+    """The countpred command lines of README's "Command line" block."""
+    text = README.read_text().split("## Command line", 1)[1]
+    block = text.split("```", 2)[1].replace("\\\n", " ")
+    return [line.split()[1:] for line in block.splitlines()
+            if line.startswith("countpred ")]
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    fixtures = str(Path(__file__).resolve().parents[1] / "src" / "countpred" / "fixtures")
+    lines = readme_command_lines()
+    assert len(lines) == 7
+    monkeypatch.chdir(tmp_path)          # reallocate writes adjusted.csv here
+    for argv in lines:
+        argv = [arg.replace("$FIX", fixtures) for arg in argv]
+        code, _, err = run_captured(argv, capsys)
+        assert (code, err) == (0, ""), argv
+    assert (tmp_path / "adjusted.csv").exists()

@@ -330,6 +330,18 @@ def test_region_regression_variants():
         region_regression(res, [1.0], 1.0, "normal")
 
 
+def test_region_regression_rejects_u_outside_the_unit_interval():
+    small = fit(np.ones((10, 1)), [5] * 10)
+    large = fit(np.ones((10, 1)), [3_000_000] * 10)     # above the enumeration limit
+    assert rate_and_variance(large, [1.0])[0] > glm._ENUM_LIMIT
+    for res in (small, large):
+        for variant in ("normal", "sqrt", "smallest-plugin"):
+            for u in (-0.1, 1.5):
+                with pytest.raises(DomainError):
+                    region_regression(res, [1.0], 0.05, variant, u)
+            assert region_regression(res, [1.0], 0.05, variant, 1.0) is not None
+
+
 def diag_fit(residuals):
     n = len(residuals)
     return GlmFit(theta=np.zeros(1), info_observed=np.eye(1), loglik=0.0,
@@ -395,6 +407,8 @@ def test_fit_input_validation():
         fit(np.ones((2, 3)), [1, 2])
     with pytest.raises(SingularityError):
         fit(np.column_stack([np.ones(5), np.ones(5)]), [1, 2, 3, 2, 1])
+    with pytest.raises(SingularityError):
+        fit(np.column_stack([np.ones(5), np.zeros(5)]), [1, 2, 3, 2, 1])
     with pytest.raises(SingularityError):
         fit(np.column_stack([np.ones(4), [0.0, 1.0, np.nan, 3.0]]), [1, 2, 3, 4])
     # No MLE exists: the rates of the zero counts vanish and the information

@@ -33,7 +33,7 @@ from countpred import (
     region_smallest,
     region_sqrt_known,
 )
-from countpred.cli import _parse_grid, cli_dispatch
+from countpred.cli import _parse_values, cli_dispatch
 from countpred.special import normal_quantile, poisson_cdf, poisson_log_pmf
 
 Z975 = 1.959963984540054
@@ -200,7 +200,7 @@ def exact_props_rows(grids, capsys):
 
 
 def test_exact_props_rows_independent_of_grid_order(capsys):
-    lams = [repr(lam) for lam in _parse_grid("0.05:5:0.05")] + ["0.001", "250.0"]
+    lams = [repr(lam) for lam in _parse_values("0.05:5:0.05", float)] + ["0.001", "250.0"]
     forward = exact_props_rows([",".join(lams)], capsys)
     assert len(forward) == len(lams)
     assert exact_props_rows([",".join(reversed(lams))], capsys) == forward
@@ -215,7 +215,7 @@ def test_exact_props_computes_each_region_bound_cdf_once(monkeypatch, capsys):
     assert cli_dispatch(["exact-props", "--alpha", "0.05",
                          "--lambda-grid", "0.05:5:0.05"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 2 + 100
-    bounds = [(m, lam) for lam in _parse_grid("0.05:5:0.05")
+    bounds = [(m, lam) for lam in _parse_values("0.05:5:0.05", float)
               for r in exact_props_regions(lam, 0.05) if r.core_hi >= r.core_lo
               for m in (r.core_hi, r.core_lo - 1)]
     # one poisson_cdf per distinct bound: 427 of the 798 lookups
