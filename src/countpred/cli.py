@@ -8,8 +8,9 @@ randomness is involved, and the resolved configuration.  Exit codes:
 one machine-parsable line on stderr.
 
 ``--cutoffs``, ``--daynum`` and ``--lambda-grid`` take comma lists of
-values and start:stop[:step] ranges, stop included; a malformed or
-non-finite value there or in ``--theta`` and ``--w-dist`` exits 1.
+values and start:stop[:step] ranges, stop included, at most 10**6 of
+them; a longer list, a step too small to change the value, or a malformed
+or non-finite value there or in ``--theta`` and ``--w-dist`` exits 1.
 
 ``main`` (and ``cli_dispatch``) may be called repeatedly in one process.
 The parser is built once per process and parses each command line into
@@ -48,9 +49,9 @@ from .forecast import (
 )
 from .glm import (
     DesignSpec,
+    _design_rows,
     _variant_region,
     build_design,
-    design_row,
     fit,
     rate_and_variance,
     residual_diagnostics,
@@ -67,6 +68,7 @@ from .regions import (
 )
 from .simulate import SimConfig, result_to_csv, run_experiment
 
+_MAX_VALUES = 10**6     # values in one list option
 _USAGE_ERRORS = (DomainError, HorizonError)
 _DATA_ERRORS = (DataError, AdjustmentError, DesignError, FileNotFoundError,
                 PermissionError, IsADirectoryError)
@@ -117,7 +119,8 @@ def _parse_values(text: str, convert) -> list:
     ``convert`` (int or float) reads each number.  A range steps by 1 by
     default and keeps round(v, 10), v += step, while v <= stop + 1e-9.
     An unreadable or non-finite number, an empty list, a range of more
-    than three parts or a step <= 0 raises DomainError.
+    than three parts, a step <= 0 or with v + step == v, or more than
+    _MAX_VALUES values (checked before a range is built) raise DomainError.
     """
     values = []
     for part in text.split(","):
@@ -135,12 +138,18 @@ def _parse_values(text: str, convert) -> list:
         step = pieces[2] if len(pieces) == 3 else convert(1)
         if step <= 0:
             raise DomainError(f"range step must be positive in {part!r}")
+        if (stop - start) / step >= _MAX_VALUES - len(values):
+            raise DomainError(f"more than {_MAX_VALUES} values up to {part!r}")
         v = start
         while v <= stop + 1e-9:
+            if v + step == v:
+                raise DomainError(f"step {step!r} does not change {v!r} in {part!r}")
             values.append(round(v, 10))
             v += step
     if not values:
         raise DomainError(f"no values in {text!r}")
+    if len(values) > _MAX_VALUES:
+        raise DomainError(f"more than {_MAX_VALUES} values")
     return values
 
 
@@ -189,8 +198,6 @@ def _fit_series(series: DailySeries, design: DesignSpec):
 
 def _raw_theta(theta: np.ndarray, spec: DesignSpec) -> list[float]:
     """Map coefficients from the standardized columns back to raw ones."""
-    if not spec.standardize or spec.column_means is None:
-        return [float(v) for v in theta]
     means = np.asarray(spec.column_means)
     sds = np.asarray(spec.column_sds)
     raw = theta / sds
@@ -269,9 +276,9 @@ def _cmd_predict(args) -> int:
     base = _fit_series(_load_series(args), _design_from_args(args))
     over = fit_overdispersed(base) if args.variant == "overdispersed" else None
     rows = []
-    for daynum in daynums:
-        label = weekday_of_daynum(daynum) if base.design.include_day_factor else None
-        x0 = design_row(float(daynum), label, base.design)
+    spec = base.design
+    labels = [weekday_of_daynum(d) for d in daynums] if spec.include_day_factor else None
+    for daynum, x0 in zip(daynums, _design_rows(np.array(daynums, float), labels, spec)):
         lam0, vhat = rate_and_variance(base, x0)
         if over is not None:
             region = region_overdispersed(over, x0, args.alpha)

@@ -22,7 +22,7 @@ from .errors import (
     DomainError,
     HorizonError,
 )
-from .glm import DesignSpec, GlmFit, build_design, design_row, fit, region_regression
+from .glm import DesignSpec, GlmFit, _design_rows, build_design, fit, region_regression
 from .overdispersion import OverdispersedFit, fit_overdispersed, region_overdispersed
 from .regions import _check_alpha
 
@@ -116,9 +116,9 @@ def cumulative_forecast(fit_, series: DailySeries, target_daynum: int,
     lo_sum = 0
     hi_sum = 0
     point_sum = 0.0
-    for daynum in range(last + 1, target_daynum + 1):
-        label = weekday_of_daynum(daynum) if spec.include_day_factor else None
-        x0 = design_row(float(daynum), label, spec)
+    days = range(last + 1, target_daynum + 1)
+    labels = [weekday_of_daynum(d) for d in days] if spec.include_day_factor else None
+    for daynum, x0 in zip(days, _design_rows(np.array(days, float), labels, spec)):
         # the region raises DivergenceError where exp would overflow
         if isinstance(fit_, OverdispersedFit):
             region = region_overdispersed(fit_, x0, a_star)

@@ -5,8 +5,9 @@ optional weekday factor), Newton-Raphson maximum likelihood, the
 information matrices, AIC, a residual-sign independence diagnostic, and
 the covariate-setting prediction regions built from the fitted rate.
 
-Columns other than the intercept can be centered and scaled; the
-transform is recorded so prediction rows are mapped identically.
+One builder makes the design and every prediction row; columns other
+than the intercept can be centered and scaled, a transform that the
+prediction variances, taken in the fit's QR basis, do not depend on.
 """
 
 from __future__ import annotations
@@ -77,10 +78,9 @@ _EPS = np.finfo(np.float64).eps
 class DesignSpec:
     """Recipe for building design rows.
 
-    ``column_means``/``column_sds`` are populated by build_design when
-    ``standardize`` is set; entries for columns left untouched (the
-    intercept, any zero-variance dummy) are (0, 1) so the transform can
-    be applied uniformly.
+    ``column_means``/``column_sds`` are populated by build_design, one
+    entry per column; columns left untouched (the intercept, any
+    zero-variance dummy, all of them without ``standardize``) get (0, 1).
     """
 
     poly_order: int
@@ -107,6 +107,7 @@ class GlmFit:
     y: np.ndarray
     decrement: float = 0.0       # Newton decrement g' I^-1 g that ended the fit
     halvings: int = 0            # line-search step halvings over all iterations
+    qr: tuple[np.ndarray, np.ndarray] | None = None   # X = QR, the variance basis
 
 
 @dataclass(frozen=True)
@@ -132,6 +133,38 @@ def _weekday_index(label) -> int:
     return WEEKDAYS.index(name)
 
 
+def _columns(w: np.ndarray, day_labels, spec: DesignSpec) -> np.ndarray:
+    """The unstandardized columns of build_design at w, one row per column."""
+    if w.ndim != 1 or w.size == 0:
+        raise DesignError("w must be a nonempty 1-d vector")
+    if spec.poly_order < 0:
+        raise DesignError(f"poly_order must be >= 0, got {spec.poly_order}")
+    cols = [np.ones(w.size)] + [w ** j for j in range(1, spec.poly_order + 1)]
+    if spec.include_day_factor:
+        if day_labels is None:
+            raise DesignError("day factor requested but no day labels given")
+        idx = np.array([_weekday_index(d) for d in day_labels])
+        if idx.size != w.size:
+            raise DesignError("day labels length does not match w")
+        cols += [(idx == d).astype(np.float64) for d in range(1, 7)]
+    return np.array(cols)
+
+
+def _standardized(rows: np.ndarray, spec: DesignSpec) -> np.ndarray:
+    """Rows from _columns under the spec's recorded standardization."""
+    if not spec.standardize:
+        return rows
+    if spec.column_means is None or spec.column_sds is None:
+        raise DesignError("spec has no recorded standardization; build the design first")
+    return ((rows - np.array(spec.column_means)[:, None])
+            / np.array(spec.column_sds)[:, None])
+
+
+def _design_rows(w: np.ndarray, day_labels, spec: DesignSpec) -> np.ndarray:
+    """Prediction rows at the points w under a spec returned by build_design."""
+    return np.ascontiguousarray(_standardized(_columns(w, day_labels, spec), spec).T)
+
+
 def build_design(w, day_labels, spec: DesignSpec) -> tuple[np.ndarray, DesignSpec]:
     """Build the design matrix and record any standardization.
 
@@ -141,26 +174,9 @@ def build_design(w, day_labels, spec: DesignSpec) -> tuple[np.ndarray, DesignSpe
     (divisor n-1); a zero-variance polynomial column is an error since
     it cannot be scaled.
     """
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 1 or w.size == 0:
-        raise DesignError("w must be a nonempty 1-d vector")
-    n = w.size
-    if spec.poly_order < 0:
-        raise DesignError(f"poly_order must be >= 0, got {spec.poly_order}")
-    cols = [np.ones(n)]
-    for j in range(1, spec.poly_order + 1):
-        cols.append(w ** j)
-    if spec.include_day_factor:
-        if day_labels is None:
-            raise DesignError("day factor requested but no day labels given")
-        idx = np.array([_weekday_index(d) for d in day_labels])
-        if idx.size != n:
-            raise DesignError("day labels length does not match w")
-        for d in range(1, 7):
-            cols.append((idx == d).astype(np.float64))
     # One row per column, so each column's mean and sd reduce a
     # contiguous row, as they would reduce the column on its own.
-    rows = np.array(cols)
+    rows = _columns(np.asarray(w, dtype=np.float64), day_labels, spec)
     means = np.zeros(rows.shape[0])
     sds = np.ones(rows.shape[0])
     if spec.standardize:
@@ -173,29 +189,15 @@ def build_design(w, day_labels, spec: DesignSpec) -> tuple[np.ndarray, DesignSpe
         scaled = sd != 0.0
         means[1:] = np.where(scaled, rows[1:].mean(axis=1), 0.0)
         sds[1:] = np.where(scaled, sd, 1.0)
-        rows = (rows - means[:, None]) / sds[:, None]
-    X = np.ascontiguousarray(rows.T)
     out_spec = replace(spec, column_means=tuple(means), column_sds=tuple(sds))
-    return X, out_spec
+    return np.ascontiguousarray(_standardized(rows, out_spec).T), out_spec
 
 
 def design_row(w0: float, day_label, spec: DesignSpec) -> np.ndarray:
-    """One prediction row under a spec returned by build_design."""
-    row = [1.0]
-    for j in range(1, spec.poly_order + 1):
-        row.append(float(w0) ** j)
-    if spec.include_day_factor:
-        if day_label is None:
-            raise DesignError("day factor in design but no day label given")
-        idx = _weekday_index(day_label)
-        row.extend(1.0 if idx == d else 0.0 for d in range(1, 7))
-    x0 = np.asarray(row)
-    if spec.standardize:
-        if spec.column_means is None or spec.column_sds is None:
-            raise DesignError("spec has no recorded standardization; build the design first")
-        x0 = (x0 - np.asarray(spec.column_means)) / np.asarray(spec.column_sds)
-        x0[0] = 1.0
-    return x0
+    """One prediction row under a spec returned by build_design; at a
+    training w and day label it is that row of X, bit for bit."""
+    labels = None if day_label is None else [day_label]
+    return _design_rows(np.array([float(w0)]), labels, spec)[0]
 
 
 def _linear_predictor(theta: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -264,17 +266,6 @@ def expected_info(theta, X) -> np.ndarray:
 def _information(X: np.ndarray, rates: np.ndarray) -> np.ndarray:
     """sum x_i x_i' rate_i."""
     return (X * rates[:, None]).T @ X
-
-
-def _spd_solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A x = b for symmetric positive-definite A."""
-    try:
-        np.linalg.cholesky(A)
-        return np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        # solve can still meet an exact zero pivot after the probe passed
-        raise SingularityError(
-            "information matrix is singular (rank-deficient design)") from exc
 
 
 def _orthonormal_basis(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -370,6 +361,7 @@ def fit(X, y, design: DesignSpec | None = None) -> GlmFit:
         y=y_arr.astype(np.int64),
         decrement=decrement,
         halvings=halvings,
+        qr=(Q, R),
     )
 
 
@@ -393,11 +385,19 @@ def rate_and_variance(fit_: GlmFit, x0) -> tuple[float, float]:
     """Predicted rate exp(x0 theta) and its pivotal variance factor.
 
     The factor is 1 + rate * x0' I(theta)^-1 x0; for an intercept-only
-    design it reduces to 1 + 1/n.
+    design it reduces to 1 + 1/n.  The form is |L^-1 R^-T x0|^2 in the
+    fit's basis X = QR, with LL' = Q' diag(rates) Q: nonnegative, and
+    SingularityError where that factorization or solve fails.
     """
     x0, lam0 = _predicted_rate(fit_.theta, x0)
-    quad = float(x0 @ _spd_solve(fit_.info_observed, x0))
-    return lam0, 1.0 + lam0 * quad
+    Q, R = fit_.qr
+    try:
+        L = np.linalg.cholesky(_information(Q, fit_.fitted_rates))
+        v = np.linalg.solve(L, np.linalg.solve(R.T, x0))
+    except np.linalg.LinAlgError as exc:
+        raise SingularityError(
+            "information matrix is singular (rank-deficient design)") from exc
+    return lam0, 1.0 + lam0 * float(v @ v)
 
 
 def region_regression(fit_: GlmFit, x0, alpha: float, variant: str,

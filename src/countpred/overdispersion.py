@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, DomainError, SingularityError
-from .glm import GlmFit, _orthonormal_basis, _predicted_rate, region_regression
+from .glm import GlmFit, _predicted_rate, region_regression
 from .regions import PredictionRegion, _check_alpha, _normal_interval
 
 __all__ = [
@@ -110,7 +110,7 @@ def sandwich_covariance(base_fit: GlmFit, xi: float) -> np.ndarray:
     then returns Omega^-1 Sigma Omega^-T.
 
     Both factors are assembled and Omega inverted in the orthonormal
-    basis Q of X = QR, at (R theta, xi), where the information is well
+    basis Q of the fit's X = QR, at (R theta, xi), where the information is well
     conditioned even when the columns of X are nearly collinear.  The
     sandwich is equivariant under theta -> R theta, so mapping back
     with T = diag(R^-1, 1) gives the same estimator in the caller's
@@ -119,7 +119,7 @@ def sandwich_covariance(base_fit: GlmFit, xi: float) -> np.ndarray:
     if not math.isfinite(xi) or xi <= 0:
         raise DomainError(f"sandwich_covariance requires finite xi > 0, got {xi}")
     k = base_fit.theta.size
-    Q, R = _orthonormal_basis(base_fit.X)
+    Q, R = base_fit.qr
     T = np.eye(k + 1)
     T[:k, :k] = np.linalg.solve(R, np.eye(k))
     sigma, omega = _assemble_factors(R @ base_fit.theta, xi, Q,

@@ -48,14 +48,7 @@ from .errors import (
     NonConvergenceError,
     SingularityError,
 )
-from .glm import (
-    DesignSpec,
-    _variant_region,
-    build_design,
-    design_row,
-    fit,
-    rate_and_variance,
-)
+from .glm import _variant_region, fit, rate_and_variance
 from .regions import (
     _check_alpha,
     _folded_bounds,
@@ -247,7 +240,8 @@ def _draw_w(w_dist, size: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _draw_regression_instance(p, theta, w_dist, n, rng):
-    """Draw covariates, responses, and the holdout pair; redraw on overflow."""
+    """Rows (1, w, ..., w^p) of n covariates and the holdout's, the n
+    responses, the holdout count and the redraws made on overflow."""
     theta = np.asarray(theta, dtype=np.float64)
     redraws = 0
     while True:
@@ -260,7 +254,7 @@ def _draw_regression_instance(p, theta, w_dist, n, rng):
         rates = np.exp(eta)
         y = rng.poisson(rates[:n]).astype(np.int64)
         y0 = int(rng.poisson(rates[n]))
-        return w, y, y0, redraws
+        return powers, y, y0, redraws
 
 
 def gen_poisson_regression_data(p, theta, w_dist, n, seed):
@@ -270,8 +264,7 @@ def gen_poisson_regression_data(p, theta, w_dist, n, seed):
     polynomial covariate rows.
     """
     rng = np.random.default_rng(seed)
-    w, y, y0, _ = _draw_regression_instance(p, theta, w_dist, n, rng)
-    powers = np.vander(w, p + 1, increasing=True)
+    powers, y, y0, _ = _draw_regression_instance(p, theta, w_dist, n, rng)
     return (y, powers[:n]), (y0, powers[n])
 
 
@@ -369,8 +362,8 @@ def _intercept_reps(seed, start, stop, n, lam, alpha, workers=1):
 def _regression_chunk(args):
     """Covers, realized lengths and redraws of replications start..stop-1.
 
-    Each replication is fitted on its own and keeps its three regions as
-    _region_bounds rows; all of them are scored in one vectorized step.
+    Each replication is fitted on the rows it was drawn from and keeps its
+    three regions as _region_bounds rows; all are scored in one step.
     """
     seed, start, stop, n, p, theta, w_dist, alpha = args
     m = stop - start
@@ -379,16 +372,13 @@ def _regression_chunk(args):
     u = np.empty(m)
     y0 = np.empty(m, dtype=np.int64)
     redraws = 0
-    base_spec = DesignSpec(poly_order=p, standardize=True)
     for j, rng in enumerate(_rep_rngs(seed, start, stop)):
         while True:
-            w, y, y0[j], rd = _draw_regression_instance(p, theta, w_dist, n, rng)
+            powers, y, y0[j], rd = _draw_regression_instance(p, theta, w_dist, n, rng)
             redraws += rd
             u[j] = rng.random()
             try:
-                X, spec = build_design(w[:n], None, base_spec)
-                fit_ = fit(X, y, design=spec)
-                lam0, vhat = rate_and_variance(fit_, design_row(w[n], None, spec))
+                lam0, vhat = rate_and_variance(fit(powers[:n], y), powers[n])
                 regs = [_variant_region(lam0, vhat, alpha, v) for v in _REGRESSION_VARIANTS]
             except (SingularityError, NonConvergenceError, DivergenceError):
                 redraws += 1

@@ -22,7 +22,7 @@ from countpred.data import (
     weekday_of_daynum,
     write_ecdc_csv,
 )
-from countpred.errors import AdjustmentError, DataError, SingularityError
+from countpred.errors import AdjustmentError, DataError, DomainError, SingularityError
 from countpred.glm import (
     DesignSpec,
     design_row,
@@ -559,6 +559,12 @@ def test_parse_values_matches_the_former_grid_parser(specs):
         assert [repr(v) for v in got] == [repr(v) for v in reference_parse_grid(spec)]
 
 
+def test_parse_values_keeps_a_list_up_to_the_cap():
+    assert cli._parse_values("1:1000000", int) == list(range(1, 10**6 + 1))
+    with pytest.raises(DomainError, match="more than 1000000 values"):
+        cli._parse_values("0:1000000", int)
+
+
 def test_predict_accepts_daynum_ranges(series_csv, capsys):
     data = ["predict", "--data", series_csv, "--country", "Testland", "--order", "2"]
     _, ranged, _ = run_captured([*data, "--daynum", "120:124:2"], capsys)
@@ -583,6 +589,11 @@ MALFORMED = [
     ("simulate", "--theta", "1,abc"), ("simulate", "--theta", "1,,2"),
     ("simulate", "--w-dist", "normal,0,x"), ("simulate", "--w-dist", "uniform,a,1"),
     ("simulate", "--theta", "1,inf"), ("simulate", "--w-dist", "normal,0,nan"),
+    # a step that no longer changes the value: 1e17 + 0.001 == 1e17
+    ("exact-props", "--lambda-grid", "1e17:100000000000000016:0.001"),
+    # longer than the list cap, rejected before a value is kept
+    ("exact-props", "--lambda-grid", "1e17:2e17"), ("sweep", "--cutoffs", "0:1000000000"),
+    ("predict", "--daynum", "5,0:999999"),
 ]
 
 

@@ -209,6 +209,28 @@ def test_overdispersed_forecast_independent_of_basis():
     assert intervals == [(86158, 118324)] * 4
 
 
+def test_poisson_forecast_independent_of_basis():
+    # Every Poisson forecast of days 154 and 199 from cutoffs 112-185 whose
+    # upper bound stays below 1e9, in the standardized and the raw basis.
+    series = parse_ecdc_csv(FIXTURE, country="US")
+    compared = 0
+    for cutoff in range(112, 186):
+        fits = [_fit_for_cutoff(series, DesignSpec(poly_order=5, include_day_factor=True,
+                                                   standardize=standardize), cutoff, False)
+                for standardize in (True, False)]
+        for target in (154, 199):
+            if target <= cutoff:
+                continue
+            std, raw = (cumulative_forecast(fit_, sub, target, 0.05,
+                                            allow_long_horizon=True)
+                        for sub, fit_ in fits)
+            if std.interval_cumulative[1] < 1e9:
+                assert ([(d.lower, d.upper) for d in std.per_day]
+                        == [(d.lower, d.upper) for d in raw.per_day]), (cutoff, target)
+                compared += 1
+    assert compared >= 100
+
+
 def test_sweep_keeps_diverging_cutoffs():
     # order-5 extrapolations from short series overflow: those rows carry
     # the error text and the sweep goes on

@@ -30,6 +30,7 @@ from countpred import (
     region_smallest,
     residual_diagnostics,
     score,
+    weekday_of_daynum,
 )
 from countpred.forecast import _fit_for_cutoff
 from countpred.simulate import REGRESSION_CASES, _draw_regression_instance
@@ -168,9 +169,10 @@ def test_fit_invariant_to_column_order():
         p, theta, w_dist = REGRESSION_CASES[case]
         worst = 0.0
         for rep in range(1000):
-            w, y, _, _ = _draw_regression_instance(p, theta, w_dist, n,
-                                                   numpy_rep_rng(20200315, rep))
-            X, _ = build_design(w[:n], None, DesignSpec(poly_order=p, standardize=True))
+            powers, y, _, _ = _draw_regression_instance(p, theta, w_dist, n,
+                                                        numpy_rep_rng(20200315, rep))
+            X, _ = build_design(powers[:n, 1], None,
+                                DesignSpec(poly_order=p, standardize=True))
             forward = fit(X, y)
             reverse = fit(X[:, ::-1], y)
             se = np.sqrt(np.diag(np.linalg.inv(forward.info_observed)))
@@ -191,6 +193,21 @@ def test_fixture_fit_independent_of_basis():
         np.testing.assert_allclose(std.fitted_rates, raw.fitted_rates, rtol=1e-10, atol=0)
     std = fixture_fit(137, True)
     assert np.max(np.abs(score(std.theta, std.X, std.y))) < 1e-6
+
+
+def test_fixture_variance_independent_of_basis():
+    # The parameter-uncertainty term rate * x0' I^-1 x0 of the variance
+    # factor, the day after the cutoff and at days 154 and 199.  The two
+    # fits' rates agree to about 1e-10; where the rate underflows the
+    # term is 0 in both.
+    for cutoff in (120, 137, 145, 153, 185):
+        std, raw = fixture_fit(cutoff, True), fixture_fit(cutoff, False)
+        for day in (cutoff + 1, 154, 199):
+            term = []
+            for res in (std, raw):
+                x0 = design_row(float(day), weekday_of_daynum(day), res.design)
+                term.append(rate_and_variance(res, x0)[1] - 1.0)
+            assert term[0] == pytest.approx(term[1], rel=1e-9), (cutoff, day)
 
 
 def test_fixture_fit_matches_high_precision_newton():
@@ -286,6 +303,18 @@ def test_build_design_zero_variance_error_names_the_column():
         build_design([2.0, 2.0, 2.0], None, spec)
     with pytest.raises(DesignError, match=r"w\^2 "):
         build_design([-1.0, 1.0, -1.0, 1.0], None, spec)
+
+
+@pytest.mark.parametrize("order", [3, 4, 5])
+@pytest.mark.parametrize("standardize", [False, True])
+def test_design_row_is_its_row_of_the_design(order, standardize):
+    r = np.random.default_rng(order)
+    for _ in range(20):
+        w = 3.0 * r.standard_normal(30)
+        X, spec = build_design(w, None, DesignSpec(poly_order=order,
+                                                   standardize=standardize))
+        for i, w0 in enumerate(w):
+            assert np.array_equal(design_row(w0, None, spec), X[i])
 
 
 def test_count_log_factorials_equal_lgamma():
@@ -386,14 +415,15 @@ def test_diagnostics_errors():
         residual_diagnostics(diag_fit([1.0] * 30))    # no nonpositive column
 
 
-def test_spd_solve_turns_a_failed_solve_into_singularity(monkeypatch):
-    # The Cholesky probe passes, then solve meets an exact zero pivot.
-    def zero_pivot(A, b):
-        raise np.linalg.LinAlgError("Singular matrix")
+def test_rate_and_variance_turns_a_failed_cholesky_into_singularity(monkeypatch):
+    res = fit(np.ones((10, 1)), [5] * 10)
 
-    monkeypatch.setattr(np.linalg, "solve", zero_pivot)
+    def not_positive_definite(A):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", not_positive_definite)
     with pytest.raises(SingularityError):
-        glm._spd_solve(np.eye(2), np.ones(2))
+        rate_and_variance(res, [1.0])
 
 
 def test_fit_input_validation():

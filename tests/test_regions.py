@@ -493,7 +493,14 @@ def test_closed_form_fit_regions_are_pinned(alpha):
                      (quad, np.array([1.0, 1.1, 1.21])),
                      (huge, np.array([1.0]))):
         lam0 = math.exp(float(x0 @ fit_.theta))
-        vhat = 1.0 + lam0 * float(x0 @ np.linalg.solve(fit_.info_observed, x0))
+        # x0' I^-1 x0 in the fit's basis X = QR: |L^-1 R^-T x0|^2, with LL'
+        # the information Q' diag(rates) Q.
+        Q, R = fit_.qr
+        L = np.linalg.cholesky((Q * fit_.fitted_rates[:, None]).T @ Q)
+        v = np.linalg.solve(L, np.linalg.solve(R.T, x0))
+        vhat = 1.0 + lam0 * float(v @ v)
+        assert vhat == pytest.approx(
+            1.0 + lam0 * float(x0 @ np.linalg.solve(fit_.info_observed, x0)), rel=1e-12)
         assert region_regression(fit_, x0, alpha, "normal") == \
             pinned_normal(lam0, z * math.sqrt(lam0 * vhat), alpha)
         assert region_regression(fit_, x0, alpha, "sqrt") == \

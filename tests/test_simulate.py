@@ -6,14 +6,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from countpred import glm
+from countpred import glm, simulate
+from countpred.cli import cli_dispatch
 from countpred.errors import (
     DivergenceError,
     DomainError,
     NonConvergenceError,
     SingularityError,
 )
-from countpred.glm import DesignSpec, build_design, design_row, fit, region_regression
+from countpred.glm import fit, region_regression
 from countpred.regions import (
     hyper_from_mean_sd,
     pmf_gamma_predictive,
@@ -149,17 +150,16 @@ def reference_regression_chunk(seed, start, stop, n, p, theta, w_dist, alpha):
     """Every replication fitted and its three regions built through the
     public region_regression, one variant per call."""
     covers, lengths, redraws, rates = [], [], 0, []
-    spec0 = DesignSpec(poly_order=p, standardize=True)
     for rep in range(start, stop):
         rng = numpy_rep_rng(seed, rep)
         while True:
-            w, y, y0, rd = _draw_regression_instance(p, theta, w_dist, n, rng)
+            powers, y, y0, rd = _draw_regression_instance(p, theta, w_dist, n, rng)
             redraws += rd
             u = rng.random()
             try:
-                X, spec = build_design(w[:n], None, spec0)
-                fit_ = fit(X, y, design=spec)
-                x0 = design_row(w[n], None, spec)
+                X = np.vander(powers[:, 1], p + 1, increasing=True)
+                fit_ = fit(X[:n], y)
+                x0 = X[n]
                 regs = (region_regression(fit_, x0, alpha, "smallest-plugin", u),
                         region_regression(fit_, x0, alpha, "normal"),
                         region_regression(fit_, x0, alpha, "sqrt"))
@@ -210,15 +210,39 @@ def test_regression_worker_count_invariant():
 
 
 def test_regression_redraws_when_solve_meets_a_zero_pivot():
-    # One draw of this run has a count of 3.0e17.  Its information passes
-    # the Cholesky probe in rate_and_variance, but solve then meets an
-    # exact zero pivot; the draw must be redrawn like any singular fit.
+    # Replication 58 draws a count of 3.0e17; its information is singular
+    # to working precision in the polynomial basis, but not in the fit's
+    # orthonormal one, where its variance is taken.  Other draws of the run
+    # give a singular or non-converging fit and must be redrawn.
     config = SimConfig(scenario="regression", n=12, replications=260, alpha=0.05,
                        seed=777, poly_order=2, theta=(1.0, 2.0, 0.6),
                        w_dist=("normal", 0.0, 3.0))
     result = run_regression_experiment(config)
     assert result.redraws > 0
     assert result_to_csv(result) == result_to_csv(run_regression_experiment(config))
+
+
+def test_regression_variance_factor_never_below_one(monkeypatch, capsys):
+    # At replication 339 of this run the caller-basis information has
+    # condition number 1.2e17, and solving with it gave a variance factor
+    # of -61.6, whose square root raised a math domain error.
+    argv = ["simulate", "--scenario", "regression", "--n", "12", "--reps", "340",
+            "--seed", "1", "--order", "2", "--theta", "1,2,0.6", "--w-dist", "normal,0,3"]
+    vhats = []
+
+    def recorded(fit_, x0):
+        lam0, vhat = glm.rate_and_variance(fit_, x0)
+        vhats.append(vhat)
+        return lam0, vhat
+
+    monkeypatch.setattr(simulate, "rate_and_variance", recorded)
+    config = SimConfig(scenario="regression", n=12, replications=340, alpha=0.05,
+                       seed=1, poly_order=2, theta=(1.0, 2.0, 0.6),
+                       w_dist=("normal", 0.0, 3.0))
+    result = run_regression_experiment(config)
+    assert len(vhats) >= 340 and min(vhats) >= 1.0
+    assert cli_dispatch(argv) == 0
+    assert capsys.readouterr().out == result_to_csv(result)
 
 
 def test_intercept_single_total_worker_invariant():
