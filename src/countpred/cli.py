@@ -15,6 +15,10 @@ or non-finite value there or in ``--theta`` and ``--w-dist`` exits 1.
 ``main`` (and ``cli_dispatch``) may be called repeatedly in one process.
 The parser is built once per process and parses each command line into
 a fresh namespace, so no option value carries over between commands.
+Each command reads its data file; ``data.parse_ecdc_csv`` memoizes the
+parse of the last few (file text, country) pairs per process, so
+commands on one file parse it once, and a rewritten file is parsed anew.
+The parsed series is immutable: adjustments and cutoffs build new ones.
 """
 
 from __future__ import annotations
@@ -43,6 +47,8 @@ from .errors import (
     SingularityError,
 )
 from .forecast import (
+    _fit_series,
+    _series_design,
     cumulative_forecast,
     reallocate_adjustments,
     sensitivity_sweep,
@@ -50,8 +56,8 @@ from .forecast import (
 from .glm import (
     DesignSpec,
     _design_rows,
+    _design_subset,
     _variant_region,
-    build_design,
     fit,
     rate_and_variance,
     residual_diagnostics,
@@ -189,13 +195,6 @@ def _design_from_args(args) -> DesignSpec:
                       standardize=not args.no_standardize)
 
 
-def _fit_series(series: DailySeries, design: DesignSpec):
-    w = np.array(series.daynums(), dtype=np.float64)
-    labels = [r.weekday for r in series.records] if design.include_day_factor else None
-    X, spec = build_design(w, labels, design)
-    return fit(X, np.array(series.counts()), design=spec)
-
-
 def _raw_theta(theta: np.ndarray, spec: DesignSpec) -> list[float]:
     """Map coefficients from the standardized columns back to raw ones."""
     means = np.asarray(spec.column_means)
@@ -210,16 +209,26 @@ def _raw_theta(theta: np.ndarray, spec: DesignSpec) -> list[float]:
 
 def _cmd_fit(args) -> int:
     series = _load_series(args)
-    design = _design_from_args(args)
-    chosen = _fit_series(series, design)
-    table = []
     max_order = args.max_order if args.max_order is not None else args.order
+    # One design holds every column of the table and of the chosen design;
+    # each fit takes its columns, which build_design would give bit for bit.
+    X_all, spec_all = _series_design(series, replace(
+        _design_from_args(args), poly_order=max(args.order, max_order),
+        include_day_factor=True))
+    y = np.array(series.counts())
+
+    def fit_columns(order: int, with_day: bool):
+        X, spec = _design_subset(X_all, spec_all, order, with_day)
+        return fit(X, y, design=spec)
+
+    chosen = fit_columns(args.order, args.day_factor)
+    table = []
     for order in range(1, max_order + 1):
         row = {"order": order}
         for tag, with_day in (("nd", False), ("d", True)):
             try:
-                cell = replace(design, poly_order=order, include_day_factor=with_day)
-                f = chosen if cell == design else _fit_series(series, cell)
+                same = (order, with_day) == (args.order, args.day_factor)
+                f = chosen if same else fit_columns(order, with_day)
                 row[f"aic_{tag}"] = f.aic
                 row[f"xi_{tag}"] = _xi_json(estimate_xi(f))
             except _NUMERICAL_ERRORS as exc:

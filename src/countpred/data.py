@@ -10,6 +10,8 @@ parse -> write -> parse round trip is the identity.
 from __future__ import annotations
 
 import csv
+import functools
+import io
 import json
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
@@ -126,31 +128,43 @@ def parse_ecdc_csv(path, country: str) -> DailySeries:
     geoId (case-insensitive).  Dates come from dateRep (dd/mm/yyyy) with
     the day/month/year columns as fallback.  Gaps in the calendar are
     zero-filled and flagged.
+
+    The file is read on every call; the parse of its text is memoized
+    per process for the last few (text, country) pairs, so a rewritten
+    file is always parsed anew.  Errors are raised on every call.
     """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        text = fh.read()
+    return _parse_text(text, country)
+
+
+@functools.lru_cache(maxsize=4)
+def _parse_text(text: str, country: str) -> DailySeries:
+    """parse_ecdc_csv on the file's text; the series is immutable, so
+    callers may share it."""
     want = country.strip().lower()
     rows: list[tuple[date, int, int]] = []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise DataError("empty file, no header row")
-        missing = [c for c in _REQUIRED_COLUMNS if c not in reader.fieldnames]
-        if missing:
-            raise DataError(f"missing required columns: {', '.join(missing)}")
-        has_geo = "geoId" in reader.fieldnames
-        for line, row in enumerate(reader, start=2):
-            name = (row.get("countriesAndTerritories") or "").strip().lower()
-            geo = (row.get("geoId") or "").strip().lower() if has_geo else ""
-            if want not in (name, geo):
-                continue
-            d = _parse_row_date(row, line)
-            try:
-                deaths = int(str(row["deaths"]).strip())
-            except (ValueError, TypeError) as exc:
-                raise DataError(f"unparseable deaths value {row.get('deaths')!r}",
-                                line=line) from exc
-            if deaths < 0:
-                raise DataError(f"negative deaths count {deaths}", line=line)
-            rows.append((d, deaths, line))
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    if reader.fieldnames is None:
+        raise DataError("empty file, no header row")
+    missing = [c for c in _REQUIRED_COLUMNS if c not in reader.fieldnames]
+    if missing:
+        raise DataError(f"missing required columns: {', '.join(missing)}")
+    has_geo = "geoId" in reader.fieldnames
+    for line, row in enumerate(reader, start=2):
+        name = (row.get("countriesAndTerritories") or "").strip().lower()
+        geo = (row.get("geoId") or "").strip().lower() if has_geo else ""
+        if want not in (name, geo):
+            continue
+        d = _parse_row_date(row, line)
+        try:
+            deaths = int(str(row["deaths"]).strip())
+        except (ValueError, TypeError) as exc:
+            raise DataError(f"unparseable deaths value {row.get('deaths')!r}",
+                            line=line) from exc
+        if deaths < 0:
+            raise DataError(f"negative deaths count {deaths}", line=line)
+        rows.append((d, deaths, line))
     if not rows:
         raise DataError(f"no rows for country {country!r}")
     rows.sort(key=lambda r: r[0])

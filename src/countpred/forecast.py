@@ -9,7 +9,6 @@ a sensitivity sweep that repeats the forecast across data cutoffs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -22,9 +21,9 @@ from .errors import (
     DomainError,
     HorizonError,
 )
-from .glm import DesignSpec, GlmFit, _design_rows, build_design, fit, region_regression
-from .overdispersion import OverdispersedFit, fit_overdispersed, region_overdispersed
-from .regions import _check_alpha
+from .glm import DesignSpec, GlmFit, _design_rows, build_design, fit
+from .overdispersion import OverdispersedFit, _rate_and_count_variance, fit_overdispersed
+from .regions import _check_alpha, _normal_interval
 
 __all__ = [
     "DayForecast",
@@ -111,6 +110,7 @@ def cumulative_forecast(fit_, series: DailySeries, target_daynum: int,
             f"horizon {horizon} exceeds the maximum {MAX_HORIZON}; "
             "pass allow_long_horizon to override")
     a_star = alpha_star(alpha, horizon)
+    _check_alpha(a_star)
     s_current = series.total()
     per_day = []
     lo_sum = 0
@@ -119,12 +119,9 @@ def cumulative_forecast(fit_, series: DailySeries, target_daynum: int,
     days = range(last + 1, target_daynum + 1)
     labels = [weekday_of_daynum(d) for d in days] if spec.include_day_factor else None
     for daynum, x0 in zip(days, _design_rows(np.array(days, float), labels, spec)):
-        # the region raises DivergenceError where exp would overflow
-        if isinstance(fit_, OverdispersedFit):
-            region = region_overdispersed(fit_, x0, a_star)
-        else:
-            region = region_regression(fit_, x0, a_star, "normal")
-        rate = math.exp(float(x0 @ base.theta))
+        # DivergenceError where exp would overflow
+        rate, var = _rate_and_count_variance(fit_, x0)
+        region = _normal_interval(rate, var, a_star)
         per_day.append(DayForecast(daynum=daynum, point=rate,
                                    lower=region.realized_lo, upper=region.realized_hi))
         lo_sum += region.realized_lo
@@ -186,12 +183,24 @@ def reallocate_adjustments(series: DailySeries, adjustments=None) -> DailySeries
     return DailySeries(records=records, country=series.country, adjustments=())
 
 
+def _series_design(series: DailySeries, design: DesignSpec):
+    """build_design on the series' day numbers and, with the day factor,
+    its weekday labels."""
+    w = np.array(series.daynums(), dtype=np.float64)
+    labels = [r.weekday for r in series.records] if design.include_day_factor else None
+    return build_design(w, labels, design)
+
+
+def _fit_series(series: DailySeries, design: DesignSpec) -> GlmFit:
+    """Poisson fit of a series under a design."""
+    X, spec = _series_design(series, design)
+    return fit(X, np.array(series.counts()), design=spec)
+
+
 def _fit_for_cutoff(series: DailySeries, design: DesignSpec, cutoff: int,
                     overdispersed: bool):
     sub = series.truncated(cutoff)
-    w = np.array(sub.daynums(), dtype=np.float64)
-    labels = [r.weekday for r in sub.records] if design.include_day_factor else None
-    X, spec = build_design(w, labels, design)
+    X, spec = _series_design(sub, design)
     if len(sub.records) < X.shape[1] + 2:
         raise DesignError(
             f"cutoff {cutoff} leaves {len(sub.records)} observations for "

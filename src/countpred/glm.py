@@ -193,6 +193,27 @@ def build_design(w, day_labels, spec: DesignSpec) -> tuple[np.ndarray, DesignSpe
     return np.ascontiguousarray(_standardized(rows, out_spec).T), out_spec
 
 
+def _design_subset(X: np.ndarray, spec: DesignSpec, poly_order: int,
+                   include_day_factor: bool) -> tuple[np.ndarray, DesignSpec]:
+    """The design and spec build_design gives for (poly_order,
+    include_day_factor), taken bit for bit from the X and spec it returned
+    for a design of order at least poly_order with the day factor.
+
+    Each column and its standardization depend on no other column.  The
+    subset is copied C-contiguous, as build_design returns it, so that
+    the fit's matrix products see the same layout.
+    """
+    if poly_order < 0:
+        raise DesignError(f"poly_order must be >= 0, got {poly_order}")
+    cols = list(range(poly_order + 1))
+    if include_day_factor:
+        cols += range(spec.poly_order + 1, spec.poly_order + 7)
+    sub = replace(spec, poly_order=poly_order, include_day_factor=include_day_factor,
+                  column_means=tuple(np.array(spec.column_means)[cols]),
+                  column_sds=tuple(np.array(spec.column_sds)[cols]))
+    return np.ascontiguousarray(X[:, cols]), sub
+
+
 def design_row(w0: float, day_label, spec: DesignSpec) -> np.ndarray:
     """One prediction row under a spec returned by build_design; at a
     training w and day label it is that row of X, bit for bit."""
@@ -381,16 +402,24 @@ def _predicted_rate(theta: np.ndarray, x0) -> tuple[np.ndarray, float]:
     return x0, math.exp(eta0)
 
 
+def _fit_basis(fit_: GlmFit) -> tuple[np.ndarray, np.ndarray]:
+    """The fit's X = QR; DesignError for a GlmFit built without one."""
+    if fit_.qr is None:
+        raise DesignError("the fit carries no QR basis; fit the design with glm.fit")
+    return fit_.qr
+
+
 def rate_and_variance(fit_: GlmFit, x0) -> tuple[float, float]:
     """Predicted rate exp(x0 theta) and its pivotal variance factor.
 
     The factor is 1 + rate * x0' I(theta)^-1 x0; for an intercept-only
     design it reduces to 1 + 1/n.  The form is |L^-1 R^-T x0|^2 in the
     fit's basis X = QR, with LL' = Q' diag(rates) Q: nonnegative, and
-    SingularityError where that factorization or solve fails.
+    SingularityError where that factorization or solve fails.  A fit
+    without that basis raises DesignError.
     """
     x0, lam0 = _predicted_rate(fit_.theta, x0)
-    Q, R = fit_.qr
+    Q, R = _fit_basis(fit_)
     try:
         L = np.linalg.cholesky(_information(Q, fit_.fitted_rates))
         v = np.linalg.solve(L, np.linalg.solve(R.T, x0))

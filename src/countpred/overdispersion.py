@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DivergenceError, DomainError, SingularityError
-from .glm import GlmFit, _predicted_rate, region_regression
+from .glm import GlmFit, _fit_basis, _predicted_rate, rate_and_variance
 from .regions import PredictionRegion, _check_alpha, _normal_interval
 
 __all__ = [
@@ -114,12 +114,13 @@ def sandwich_covariance(base_fit: GlmFit, xi: float) -> np.ndarray:
     conditioned even when the columns of X are nearly collinear.  The
     sandwich is equivariant under theta -> R theta, so mapping back
     with T = diag(R^-1, 1) gives the same estimator in the caller's
-    basis, T (Omega_Q^-1 Sigma_Q Omega_Q^-T) T'.
+    basis, T (Omega_Q^-1 Sigma_Q Omega_Q^-T) T'.  A fit without that
+    basis raises DesignError.
     """
     if not math.isfinite(xi) or xi <= 0:
         raise DomainError(f"sandwich_covariance requires finite xi > 0, got {xi}")
     k = base_fit.theta.size
-    Q, R = base_fit.qr
+    Q, R = _fit_basis(base_fit)
     T = np.eye(k + 1)
     T[:k, :k] = np.linalg.solve(R, np.eye(k))
     sigma, omega = _assemble_factors(R @ base_fit.theta, xi, Q,
@@ -149,18 +150,21 @@ def fit_overdispersed(base_fit: GlmFit) -> OverdispersedFit:
                             sigma_hat=sigma, omega_hat=omega, base_fit=base_fit)
 
 
-def region_overdispersed(fit_: OverdispersedFit, x0, alpha: float) -> PredictionRegion:
-    """Prediction interval for a new count under the frailty model.
+def _rate_and_count_variance(fit_, x0) -> tuple[float, float]:
+    """Predicted rate exp(x0 theta) and the variance of a new count there.
 
-    Width combines the inflated count variance with the parameter
-    uncertainty carried by the theta-block of the sandwich.  The
-    infinite-xi sentinel delegates to the plain normal region.  A
-    prediction point that overflows exp, or a variance that comes out
-    negative or not finite, raises DivergenceError.
+    For a Poisson ``GlmFit``, or the infinite-xi sentinel, that is the
+    rate times rate_and_variance's pivotal factor.  Under finite xi it
+    is the inflated count variance plus the parameter uncertainty
+    carried by the theta-block of the sandwich.  A prediction point that
+    overflows exp, or a frailty variance that comes out negative or not
+    finite, raises DivergenceError.
     """
-    _check_alpha(alpha)
-    if math.isinf(fit_.xi):
-        return region_regression(fit_.base_fit, x0, alpha, "normal")
+    if isinstance(fit_, OverdispersedFit) and math.isinf(fit_.xi):
+        fit_ = fit_.base_fit
+    if isinstance(fit_, GlmFit):
+        lam0, vhat = rate_and_variance(fit_, x0)
+        return lam0, lam0 * vhat
     x0, lam0 = _predicted_rate(fit_.theta, x0)
     n = fit_.base_fit.X.shape[0]
     k = x0.size
@@ -169,7 +173,17 @@ def region_overdispersed(fit_: OverdispersedFit, x0, alpha: float) -> Prediction
            + lam0 * lam0 * float(x0 @ xi11 @ x0) / n)
     if not 0.0 <= var < math.inf:
         raise DivergenceError(f"prediction variance is negative or not finite: {var}")
-    return _normal_interval(lam0, var, alpha)
+    return lam0, var
+
+
+def region_overdispersed(fit_: OverdispersedFit, x0, alpha: float) -> PredictionRegion:
+    """Prediction interval for a new count under the frailty model.
+
+    The normal interval at _rate_and_count_variance: under the
+    infinite-xi sentinel, the plain normal region of the Poisson fit.
+    """
+    _check_alpha(alpha)
+    return _normal_interval(*_rate_and_count_variance(fit_, x0), alpha)
 
 
 def gen_frailty_counts(rates, xi: float, rng: np.random.Generator) -> np.ndarray:

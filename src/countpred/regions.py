@@ -211,7 +211,11 @@ def pmf_gamma_predictive(n: int, t: int, kappa: float, beta: float) -> Estimated
 
     Negative binomial with t + kappa successes and success probability
     (beta + n)/(beta + n + 1), built by a log-space ratio recurrence and
-    truncated to all but ``TAIL_MASS``.
+    truncated to all but ``TAIL_MASS``.  The support ends at the first hi
+    whose tail is at most ``TAIL_MASS`` by a geometric bound: the ratio
+    m(y+1)/m(y) = (r + y)/((y + 1)(beta + n + 1)), r = kappa + t, falls
+    with y when r >= 1 and stays below 1/(beta + n + 1) when r < 1, so a
+    ratio q < 1 at hi bounds the tail by m(hi) q/(1 - q).
     """
     if n < 1:
         raise DomainError(f"pmf_gamma_predictive requires n >= 1, got {n}")
@@ -231,8 +235,8 @@ def pmf_gamma_predictive(n: int, t: int, kappa: float, beta: float) -> Estimated
         logm = np.empty(hi + 1)
         logm[0] = r * log_succ
         logm[1:] = logm[0] + np.cumsum(steps)
-        total = np.exp(logm).sum()
-        if 1.0 - total <= TAIL_MASS:
+        q = ((r + hi) / (hi + 1.0) if r >= 1.0 else 1.0) / (beta + n + 1.0)
+        if q < 1.0 and math.exp(logm[hi]) * q / (1.0 - q) <= TAIL_MASS:
             return EstimatedPmf(logm, hi)
         hi = int(hi * 1.5) + 10
 

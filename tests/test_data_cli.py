@@ -2,6 +2,8 @@
 
 import json
 import math
+import os
+from dataclasses import replace
 from datetime import date
 from pathlib import Path
 
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from countpred import cli, glm
+from countpred import cli, forecast, glm
 from countpred.cli import build_parser, cli_dispatch
 from countpred.data import (
     DAYNUM_EPOCH,
@@ -25,6 +27,7 @@ from countpred.data import (
 from countpred.errors import AdjustmentError, DataError, DomainError, SingularityError
 from countpred.glm import (
     DesignSpec,
+    build_design,
     design_row,
     fit,
     rate_and_variance,
@@ -131,6 +134,27 @@ def test_parse_rejects_negative_duplicate_missing(tmp_path):
     empty.write_text("")
     with pytest.raises(DataError):
         parse_ecdc_csv(str(empty), "Testland")
+
+
+def test_parse_memo_keys_on_the_file_content(tmp_path):
+    path = tmp_path / "d.csv"
+    write_csv(path, [row(date(2020, 3, 1), 15), row(date(2020, 3, 2), 27)])
+    first = parse_ecdc_csv(str(path), "Testland")
+    assert parse_ecdc_csv(str(path), "Testland") is first
+    stat = path.stat()
+    write_csv(path, [row(date(2020, 3, 1), 16), row(date(2020, 3, 2), 27)])
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
+    assert path.stat().st_size == stat.st_size
+    assert path.stat().st_mtime_ns == stat.st_mtime_ns
+    assert parse_ecdc_csv(str(path), "Testland").counts() == [16, 27]
+    assert first.counts() == [15, 27]
+
+
+def test_parse_errors_raise_on_every_call(tmp_path):
+    path = write_csv(tmp_path / "c.csv", [], header="dateRep,deaths\n")
+    for _ in range(3):
+        with pytest.raises(DataError, match="missing required columns"):
+            parse_ecdc_csv(path, "Testland")
 
 
 def test_write_parse_round_trip(tmp_path):
@@ -279,11 +303,15 @@ def test_cli_commands_sharing_the_parser_stay_isolated(series_csv, monkeypatch, 
 
 
 @pytest.mark.parametrize("day_factor", [True, False])
-@pytest.mark.parametrize("order, max_order", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("order, max_order", [(2, 3), (3, 2), (5, 5)])
 def test_cli_fit_reuses_the_table_fit_of_the_chosen_design(
         series_csv, monkeypatch, capsys, order, max_order, day_factor):
     fits = []
-    monkeypatch.setattr(cli, "fit", lambda *a, **kw: fits.append(a) or fit(*a, **kw))
+    monkeypatch.setattr(cli, "fit",
+                        lambda *a, **kw: fits.append(fit(*a, **kw)) or fits[-1])
+    builds = []
+    monkeypatch.setattr(forecast, "build_design",
+                        lambda *a: builds.append(a[2]) or build_design(*a))
     argv = ["fit", "--data", series_csv, "--country", "Testland",
             "--order", str(order), "--max-order", str(max_order)]
     code = run_cli(argv + (["--day-factor"] if day_factor else []))
@@ -291,8 +319,17 @@ def test_cli_fit_reuses_the_table_fit_of_the_chosen_design(
     payload = json.loads(capsys.readouterr().out)
     # one fit per design of the table, and one more only outside it
     assert len(fits) == 2 * max_order + (order > max_order)
+    # every fit takes its columns from one design of the widest order
+    assert [(b.poly_order, b.include_day_factor) for b in builds] == [
+        (max(order, max_order), True)]
 
     series = parse_ecdc_csv(series_csv, "Testland")
+    for f in fits:
+        own = cli._fit_series(series, replace(f.design, column_means=None,
+                                              column_sds=None))
+        assert own.design == f.design
+        assert np.array_equal(own.X, f.X) and np.array_equal(own.theta, f.theta)
+        assert (own.loglik, own.aic, own.iterations) == (f.loglik, f.aic, f.iterations)
     design = DesignSpec(poly_order=order, include_day_factor=day_factor,
                         standardize=True)
     ref = cli._fit_series(series, design)
@@ -451,6 +488,25 @@ def test_cli_reallocate_requires_adjustments(series_csv, capsys):
     code = run_cli(["reallocate", "--data", series_csv, "--country", "Testland"])
     assert code == 1
     assert "error: usage:" in capsys.readouterr().err
+
+
+def test_cli_adjustments_do_not_carry_over_to_the_next_command(series_csv, tmp_path,
+                                                              capsys):
+    adj = tmp_path / "adj.json"
+    adj.write_text(json.dumps([{"daynum": 80, "amount": 10}]))
+    data = ["--data", series_csv, "--country", "Testland"]
+    fit_argv = ["fit", *data, "--order", "2"]
+    code, plain, _ = run_captured(fit_argv, capsys)
+    assert code == 0
+    code, adjusted, _ = run_captured(
+        fit_argv + ["--adjustments", str(adj), "--apply-adjustments"], capsys)
+    assert code == 0
+    assert json.loads(adjusted)["aic"] != json.loads(plain)["aic"]
+    code, again, _ = run_captured(fit_argv, capsys)
+    assert code == 0
+    assert json.loads(again)["aic"] == json.loads(plain)["aic"]
+    assert run_captured(["reallocate", *data], capsys)[0] == 1
+    assert parse_ecdc_csv(series_csv, "Testland").adjustments == ()
 
 
 def test_cli_exit_code_data_errors(series_csv, tmp_path, capsys):

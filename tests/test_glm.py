@@ -380,6 +380,16 @@ def diag_fit(residuals):
                   y=np.ones(n, dtype=np.int64))
 
 
+def test_a_fit_built_without_its_basis_raises_design_error():
+    from countpred.overdispersion import sandwich_covariance
+
+    hand_built = diag_fit([-1.0, 1.0] * 5)
+    with pytest.raises(DesignError, match="QR basis"):
+        rate_and_variance(hand_built, [1.0])
+    with pytest.raises(DesignError, match="QR basis"):
+        sandwich_covariance(hand_built, 2.0)
+
+
 def test_diagnostics_balanced_table():
     res = diag_fit([-1.0, 1.0] * 18)
     d = residual_diagnostics(res)

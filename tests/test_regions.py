@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.stats as st
-from hypothesis import given, settings, strategies as hs
+from hypothesis import example, given, settings, strategies as hs
 
 from countpred import glm, regions
 from countpred import (
@@ -34,7 +34,7 @@ from countpred import (
     region_sqrt_known,
 )
 from countpred.cli import _parse_values, cli_dispatch
-from countpred.special import normal_quantile, poisson_cdf, poisson_log_pmf
+from countpred.special import TAIL_MASS, normal_quantile, poisson_cdf, poisson_log_pmf
 
 Z975 = 1.959963984540054
 
@@ -387,6 +387,34 @@ def test_gamma_predictive_normalization_and_limits():
     big = pmf_gamma_predictive(10**5, 5 * 10**5, 0.25, 0.005)
     for k in range(15):
         assert big.mass(k) == pytest.approx(float(st.poisson(5.0).pmf(k)), abs=1e-6)
+
+
+@given(hs.integers(min_value=1, max_value=100), hs.integers(min_value=0, max_value=10**5),
+       hs.sampled_from([(0.25, 0.005), (0.5, 2.0), (4.0, 0.1)]))
+@example(10, 10**4, (0.25, 0.005))     # its masses sum 1.7e-12 short of 1
+@example(1, 0, (0.5, 2.0))             # kappa + t < 1
+@settings(max_examples=60, deadline=None)
+def test_gamma_predictive_support_ends_at_its_first_bound(n, t, hyper):
+    kappa, beta = hyper
+    r = kappa + t
+    ref = st.nbinom(r, (beta + n) / (beta + n + 1.0))
+
+    def tail_bound(hi):
+        # the largest ratio m(y+1)/m(y) past hi bounds the tail geometrically
+        q = max((r + hi) / (hi + 1.0), 1.0) / (beta + n + 1.0)
+        return ref.pmf(hi) * q / (1.0 - q)
+
+    pmf = pmf_gamma_predictive(n, t, kappa, beta)
+    mean = r / (beta + n)
+    sd = math.sqrt(r * (beta + n + 1.0)) / (beta + n)
+    tried = [int(mean + 10.0 * sd + 20.0)]
+    while tried[-1] < pmf.support_hi:
+        tried.append(int(tried[-1] * 1.5) + 10)
+    # the support is the first tried bound whose tail bound is met
+    assert tried[-1] == pmf.support_hi and pmf.log_mass.size == pmf.support_hi + 1
+    assert tail_bound(pmf.support_hi) <= TAIL_MASS * (1.0 + 1e-6)
+    assert all(tail_bound(hi) > TAIL_MASS * (1.0 - 1e-6) for hi in tried[:-1])
+    assert np.exp(pmf.log_mass).sum() == pytest.approx(1.0, abs=1e-9)
 
 
 @given(hs.integers(min_value=1, max_value=40), hs.integers(min_value=0, max_value=120))
