@@ -29,6 +29,7 @@ from countpred import (
     region_regression,
     region_smallest,
     residual_diagnostics,
+    sandwich_covariance,
     score,
     weekday_of_daynum,
 )
@@ -381,8 +382,6 @@ def diag_fit(residuals):
 
 
 def test_a_fit_built_without_its_basis_raises_design_error():
-    from countpred.overdispersion import sandwich_covariance
-
     hand_built = diag_fit([-1.0, 1.0] * 5)
     with pytest.raises(DesignError, match="QR basis"):
         rate_and_variance(hand_built, [1.0])
