@@ -191,8 +191,7 @@ def _load_series(args) -> DailySeries:
 
 def _design_from_args(args) -> DesignSpec:
     return DesignSpec(poly_order=args.order,
-                      include_day_factor=args.day_factor,
-                      standardize=not args.no_standardize)
+                      include_day_factor=args.day_factor, standardize=True)
 
 
 def _raw_theta(theta: np.ndarray, spec: DesignSpec) -> list[float]:
@@ -461,7 +460,6 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--order", type=int, default=5, help="polynomial order")
     p.add_argument("--day-factor", action="store_true",
                    help="include weekday dummies (Monday baseline)")
-    p.add_argument("--no-standardize", action="store_true")
     p.add_argument("--alpha", type=float, default=0.05)
 
 

@@ -30,8 +30,8 @@ __all__ = [
     "load_adjustments",
 ]
 
-_WEEKDAYS = ("Monday", "Tuesday", "Wednesday", "Thursday",
-             "Friday", "Saturday", "Sunday")
+WEEKDAYS = ("Monday", "Tuesday", "Wednesday", "Thursday",
+            "Friday", "Saturday", "Sunday")
 
 # daynum = (date - DAYNUM_EPOCH).days, making Dec 31 2019 day 1.
 DAYNUM_EPOCH = date(2019, 12, 30)
@@ -49,7 +49,7 @@ def date_of_daynum(daynum: int) -> date:
 
 
 def weekday_of_daynum(daynum: int) -> str:
-    return _WEEKDAYS[date_of_daynum(daynum).weekday()]
+    return WEEKDAYS[date_of_daynum(daynum).weekday()]
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,7 @@ class DailySeries:
 
 def _record_for(d: date, count: int, filled: bool = False) -> DailyRecord:
     return DailyRecord(date=d, daynum=daynum_of_date(d),
-                       weekday=_WEEKDAYS[d.weekday()], count=count, filled=filled)
+                       weekday=WEEKDAYS[d.weekday()], count=count, filled=filled)
 
 
 def _parse_row_date(row: dict, line: int) -> date:

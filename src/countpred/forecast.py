@@ -229,11 +229,7 @@ def sensitivity_sweep(series: DailySeries, design: DesignSpec, target_daynum: in
             rows.append(SweepRow(cutoff_daynum=cutoff, s_current=sub.total(),
                                  xi=xi, result=result, error=None))
         except CountpredError as exc:
-            s_cur = 0
-            try:
-                s_cur = series.cumulative_to(cutoff)
-            except Exception:
-                pass
-            rows.append(SweepRow(cutoff_daynum=cutoff, s_current=s_cur, xi=None,
+            rows.append(SweepRow(cutoff_daynum=cutoff,
+                                 s_current=series.cumulative_to(cutoff), xi=None,
                                  result=None, error=str(exc)))
     return rows

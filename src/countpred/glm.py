@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .data import WEEKDAYS
 from .errors import (
     DesignError,
     DiagnosticsError,
@@ -26,6 +27,7 @@ from .errors import (
     SingularityError,
 )
 from .regions import (
+    _ENUM_LIMIT,
     PredictionRegion,
     _check_alpha,
     _log_factorials,
@@ -53,16 +55,8 @@ __all__ = [
     "residual_diagnostics",
 ]
 
-WEEKDAYS = ("Monday", "Tuesday", "Wednesday", "Thursday",
-            "Friday", "Saturday", "Sunday")
-
 # exp overflows float64 just above this; treated as divergence.
 _EXP_LIMIT = 700.0
-
-# Rates larger than this make support enumeration pointless; the
-# smallest-cardinality region is indistinguishable from the central
-# normal interval at that scale.
-_ENUM_LIMIT = 1e6
 
 _MAX_ITER = 100
 

@@ -28,7 +28,6 @@ from .special import (
     poisson_cdf,
     poisson_log_pmf,
     poisson_log_pmf_vector,
-    poisson_upper_support,
 )
 
 __all__ = [
@@ -59,6 +58,10 @@ TIE_RTOL = 1e-12
 
 # A mass at least this (in logs) lies inside pmf_poisson's support.
 _LOG_CUT_FLOOR = math.log(10.0 * TAIL_MASS)
+
+# The pmf builders raise DomainError past this rate, total or mean; glm's
+# smallest-plugin region is then the normal interval it is close to.
+_ENUM_LIMIT = 1e6
 
 # ln k! for k = 0, 1, ...; entry k is math.lgamma(k + 1), grown on demand
 # by _log_factorials.
@@ -105,7 +108,6 @@ class EstimatedPmf:
 
     log_mass: np.ndarray
     support_hi: int
-    fallback: bool = False
 
     def mass(self, k: int) -> float:
         if 0 <= k <= self.support_hi:
@@ -118,14 +120,42 @@ def _check_alpha(alpha: float) -> None:
         raise DomainError(f"alpha must lie strictly between 0 and 1, got {alpha}")
 
 
+def _check_enumerable(size: float, what: str) -> None:
+    if size > _ENUM_LIMIT:
+        raise DomainError(f"{what} {size!r} exceeds {_ENUM_LIMIT:g}, the largest "
+                          "scale whose support is enumerated")
+
+
+def _truncated(log_mass_upto, ratio_bound, hi: int) -> EstimatedPmf:
+    """The pmf on 0..k for the first k whose tail bound is at most ``TAIL_MASS``.
+
+    ``log_mass_upto(hi)`` gives m(0..hi) in logs, each with the same bits
+    however large hi is; ``ratio_bound(ks)`` a q_k, nonincreasing in k,
+    bounding every m(j+1)/m(j) with j >= k.  Where q_k < 1 the tail past
+    k is at most m(k) q_k/(1 - q_k).  hi grows by half until k is found.
+    """
+    while True:
+        log_mass = log_mass_upto(hi)
+        q = ratio_bound(np.arange(hi + 1, dtype=np.float64))
+        lo = int(np.count_nonzero(q >= 1.0))    # q falls: q_k < 1 from lo on
+        q = q[lo:]
+        met = np.flatnonzero(np.exp(log_mass[lo:]) * q / (1.0 - q) <= TAIL_MASS)
+        if met.size:
+            k = lo + int(met[0])
+            return EstimatedPmf(log_mass[:k + 1], k)
+        hi = int(hi * 1.5) + 10
+
+
 def pmf_poisson(lam: float) -> EstimatedPmf:
-    """Poisson pmf at rate ``lam`` truncated to all but ``TAIL_MASS``."""
+    """Poisson pmf at rate ``lam``, truncated with q_k = lam/(k+1) = m(k+1)/m(k)."""
     if lam < 0:
         raise DomainError(f"pmf_poisson requires lam >= 0, got {lam}")
+    _check_enumerable(lam, "pmf_poisson rate")
     if lam == 0.0:
         return EstimatedPmf(np.zeros(1), 0)
-    hi = poisson_upper_support(lam, TAIL_MASS)
-    return EstimatedPmf(poisson_log_pmf_vector(hi, lam), hi)
+    return _truncated(lambda hi: poisson_log_pmf_vector(hi, lam),
+                      lambda ks: lam / (ks + 1.0),
+                      int(lam + 10.0 * math.sqrt(lam) + 20.0))
 
 
 def pmf_plugin_ml(n: int, t: int) -> EstimatedPmf:
@@ -141,9 +171,9 @@ def pmf_taylor(n: int, t: int) -> EstimatedPmf:
     """Second-order correction of the plug-in pmf for estimation noise.
 
     Divides each plug-in mass by 1 + ((1 - k/r)^2 - k/r^2) r / (2n) with
-    r = t/n, then renormalizes over the truncated support.  A nonpositive
-    denominator (impossible for integer t >= 1, guarded anyway) falls
-    back to the plug-in mass at that k and sets the ``fallback`` flag.
+    r = t/n, then renormalizes over the truncated support.  Over real k
+    the bracket is least at k = r + 1/2, so the divisor is at least
+    1 - 1/(2n) - 1/(8t) >= 3/8 for n, t >= 1.
     """
     if n < 1:
         raise DomainError(f"pmf_taylor requires n >= 1, got {n}")
@@ -159,13 +189,11 @@ def _taylor_from_plugin(plugin: EstimatedPmf, n: int, t: int) -> EstimatedPmf:
     base = np.exp(plugin.log_mass)
     ks = np.arange(hi + 1, dtype=np.float64)
     bracket = (1.0 - ks / rate) ** 2 - ks / rate**2
-    denom = 1.0 + 0.5 * bracket * rate / n
-    bad = denom <= 0.0
-    adjusted = np.where(bad, base, base / np.where(bad, 1.0, denom))
+    adjusted = base / (1.0 + 0.5 * bracket * rate / n)
     adjusted /= adjusted.sum()
     with np.errstate(divide="ignore"):
         logm = np.log(adjusted)
-    return EstimatedPmf(logm, hi, fallback=bool(bad.any()))
+    return EstimatedPmf(logm, hi)
 
 
 def _log_factorials(m: int) -> np.ndarray:
@@ -195,6 +223,7 @@ def pmf_umvue(n: int, t: int) -> EstimatedPmf:
         raise DomainError(f"pmf_umvue requires n >= 1, got {n}")
     if t < 0:
         raise DomainError(f"pmf_umvue requires t >= 0, got {t}")
+    _check_enumerable(t, "pmf_umvue total")
     if n == 1 or t == 0:
         logm = np.full(t + 1, -np.inf)
         logm[t] = 0.0
@@ -211,11 +240,9 @@ def pmf_gamma_predictive(n: int, t: int, kappa: float, beta: float) -> Estimated
 
     Negative binomial with t + kappa successes and success probability
     (beta + n)/(beta + n + 1), built by a log-space ratio recurrence and
-    truncated to all but ``TAIL_MASS``.  The support ends at the first hi
-    whose tail is at most ``TAIL_MASS`` by a geometric bound: the ratio
-    m(y+1)/m(y) = (r + y)/((y + 1)(beta + n + 1)), r = kappa + t, falls
-    with y when r >= 1 and stays below 1/(beta + n + 1) when r < 1, so a
-    ratio q < 1 at hi bounds the tail by m(hi) q/(1 - q).
+    truncated by ``_truncated``: the ratio m(y+1)/m(y) =
+    (r + y)/((y + 1)(beta + n + 1)), r = kappa + t, falls with y when
+    r >= 1 and stays below 1/(beta + n + 1) when r < 1.
     """
     if n < 1:
         raise DomainError(f"pmf_gamma_predictive requires n >= 1, got {n}")
@@ -224,21 +251,20 @@ def pmf_gamma_predictive(n: int, t: int, kappa: float, beta: float) -> Estimated
     if kappa <= 0 or beta <= 0:
         raise DomainError("pmf_gamma_predictive requires kappa > 0 and beta > 0")
     r = kappa + t
+    mean = r / (beta + n)
+    _check_enumerable(mean, "pmf_gamma_predictive mean")
     log_fail = -math.log(beta + n + 1.0)          # ln 1/(beta+n+1)
     log_succ = math.log(beta + n) + log_fail      # ln (beta+n)/(beta+n+1)
-    mean = r / (beta + n)
     sd = math.sqrt(r * (beta + n + 1.0)) / (beta + n)
-    hi = int(mean + 10.0 * sd + 20.0)
-    while True:
+
+    def log_mass_upto(hi):
         ys = np.arange(1, hi + 1, dtype=np.float64)
         steps = np.log((r + ys - 1.0) / ys) + log_fail
-        logm = np.empty(hi + 1)
-        logm[0] = r * log_succ
-        logm[1:] = logm[0] + np.cumsum(steps)
-        q = ((r + hi) / (hi + 1.0) if r >= 1.0 else 1.0) / (beta + n + 1.0)
-        if q < 1.0 and math.exp(logm[hi]) * q / (1.0 - q) <= TAIL_MASS:
-            return EstimatedPmf(logm, hi)
-        hi = int(hi * 1.5) + 10
+        return r * log_succ + np.concatenate(([0.0], np.cumsum(steps)))
+
+    return _truncated(log_mass_upto,
+                      lambda ks: np.maximum((r + ks) / (ks + 1.0), 1.0) / (beta + n + 1.0),
+                      int(mean + 10.0 * sd + 20.0))
 
 
 def hyper_from_mean_sd(mean: float, sd: float) -> tuple[float, float]:
@@ -373,19 +399,21 @@ def _region_from_scan(order, core_end, boundary_end, gamma, alpha) -> Prediction
 
 
 def _poisson_smallest(lam: float, alpha: float) -> PredictionRegion:
-    """build_smallest(pmf_poisson(lam), alpha), mostly without its support search.
+    """build_smallest(pmf_poisson(lam), alpha), mostly without its full support.
 
     Scans the log-masses of 0..cut only, with cut a Cornish-Fisher bound
     past the region's upper end.  poisson_log_pmf_vector gives the mass
     at k the same bits however far the vector runs, and masses decrease
     past cut > lam, so this scan sorts and sums exactly as the scan of
     the full support when (a) the full support reaches cut, which holds
-    when the mass at cut is ten times the tail mass pmf_poisson drops,
+    when the mass at cut is above TAIL_MASS, since every mass past the
+    support is within its tail bound (the check keeps a tenfold margin),
     and (b) cut does not sort before the value following the boundary
     group, whose gap to the group decides where the group ends.
     Otherwise it builds from pmf_poisson.
     """
     _check_alpha(alpha)
+    _check_enumerable(lam, "rate")
     if lam > 0.0:
         z = _z(alpha)
         cut = int(lam + (z + 1.0) * math.sqrt(lam) + (z * z + 5.0) / 6.0) + 2

@@ -51,6 +51,7 @@ from .errors import (
 from .glm import _variant_region, fit, rate_and_variance
 from .regions import (
     _check_alpha,
+    _check_enumerable,
     _folded_bounds,
     _taylor_from_plugin,
     build_smallest,
@@ -440,6 +441,7 @@ def run_intercept_experiment(config: SimConfig) -> SimResult:
     if config.lam is None or config.lam <= 0:
         raise DomainError("intercept scenario requires lam > 0")
     _check_run(config)
+    _check_enumerable(config.n * config.lam, "intercept scenario n*lam")
     covers, lengths = _intercept_reps(config.seed, 0, config.replications, config.n,
                                       config.lam, config.alpha, config.workers)
     return _reduce(config, INTERCEPT_REGIONS, [(covers, lengths, 0)])

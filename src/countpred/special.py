@@ -4,7 +4,8 @@ Everything here works in log space until the final exponentiation, so
 Poisson masses stay finite for rates up to 1e6 and counts up to 1e7.
 The normal and chi-square functions are self-contained (erfc and lgamma
 come from the C library via :mod:`math`; the incomplete-gamma split and
-the quantile refinement are implemented here).
+the quantile refinement are implemented here).  No cdf here finds a
+support end: ``regions`` truncates each pmf on an analytic tail bound.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ __all__ = [
     "poisson_log_pmf",
     "poisson_pmf",
     "poisson_cdf",
-    "poisson_upper_support",
     "normal_cdf",
     "normal_pdf",
     "normal_quantile",
@@ -28,8 +28,8 @@ __all__ = [
     "reg_upper_gamma",
 ]
 
-# Default truncation mass for finite-support searches.  1e-12 of tail mass
-# cannot move an integer region endpoint at the levels used anywhere here.
+# Tail mass a truncated pmf may drop.  1e-12 of tail mass cannot move an
+# integer region endpoint at the levels used anywhere here.
 TAIL_MASS = 1e-12
 
 _SQRT2 = math.sqrt(2.0)
@@ -89,48 +89,6 @@ def poisson_cdf(w: float, lam: float) -> float:
         return 0.0
     m = math.floor(w)
     return reg_upper_gamma(m + 1.0, lam)
-
-
-def poisson_upper_support(lam: float, tail_mass: float = TAIL_MASS) -> int:
-    """Smallest m with poisson_cdf(m, lam) >= 1 - tail_mass.
-
-    The search starts from the Cornish-Fisher estimate of the quantile,
-    gallops away from it in doubling steps until the crossing is
-    bracketed, and bisects the bracket.
-    """
-    if not 0.0 < tail_mass < 1.0:
-        raise DomainError("tail_mass must lie strictly between 0 and 1")
-    if lam <= 0:
-        raise DomainError(f"poisson_upper_support requires lam > 0, got {lam}")
-    target = 1.0 - tail_mass
-    # -normal_quantile(tail_mass), not normal_quantile(target): target
-    # rounds to 1 for tail masses below 1.1e-16.  The cdf then first
-    # reaches 1 where the tail falls below 2**-54, so the guess uses that.
-    z = -normal_quantile(max(tail_mass, 2.0**-54))
-    guess = max(0, int(lam + z * math.sqrt(lam) + (z * z - 1.0) / 6.0))
-    # Invariant: poisson_cdf(below) < target <= poisson_cdf(above).
-    step = 1
-    if poisson_cdf(guess, lam) >= target:
-        above = guess
-        below = guess - 1
-        while poisson_cdf(below, lam) >= target:
-            above = below
-            step *= 2
-            below = max(-1, above - step)
-    else:
-        below = guess
-        above = guess + 1
-        while poisson_cdf(above, lam) < target:
-            below = above
-            step *= 2
-            above = below + step
-    while above - below > 1:
-        mid = (below + above) // 2
-        if poisson_cdf(mid, lam) >= target:
-            above = mid
-        else:
-            below = mid
-    return above
 
 
 def normal_cdf(x: float) -> float:

@@ -469,6 +469,17 @@ def test_cli_exact_props(capsys):
         assert float(cells[header.index("Gam0N_coverage")]) >= 0.95 - 1e-12
 
 
+@pytest.mark.parametrize("argv", [
+    ["exact-props", "--lambda-grid", "2e6"],
+    ["simulate", "--scenario", "intercept", "--n", "10", "--lambda", "2e5"],
+])
+def test_cli_refuses_supports_past_the_enumeration_cap(argv, capsys):
+    code, out, err = run_captured(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: usage:") and err.count("\n") == 1
+
+
 def test_cli_reallocate(series_csv, tmp_path):
     adj = tmp_path / "adj.json"
     adj.write_text(json.dumps([{"daynum": 80, "amount": 10}]))

@@ -34,7 +34,13 @@ from countpred import (
     region_sqrt_known,
 )
 from countpred.cli import _parse_values, cli_dispatch
-from countpred.special import TAIL_MASS, normal_quantile, poisson_cdf, poisson_log_pmf
+from countpred.special import (
+    TAIL_MASS,
+    normal_quantile,
+    poisson_cdf,
+    poisson_log_pmf,
+    poisson_log_pmf_vector,
+)
 
 Z975 = 1.959963984540054
 
@@ -306,7 +312,6 @@ def test_taylor_pmf_matches_direct_formula(n, t):
     ks = np.arange(pmf.support_hi + 1)
     np.testing.assert_allclose(np.exp(pmf.log_mass), want[: ks.size],
                                rtol=1e-9, atol=1e-15)
-    assert not pmf.fallback
 
 
 def test_taylor_prenormalization_value():
@@ -378,6 +383,22 @@ def test_gamma_predictive_is_negative_binomial():
                                    rtol=1e-9, atol=1e-15)
 
 
+PAST_CAP = float(np.nextafter(glm._ENUM_LIMIT, np.inf))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: pmf_poisson(PAST_CAP),
+    lambda: regions._poisson_smallest(PAST_CAP, 0.05),
+    lambda: pmf_plugin_ml(1, 10**6 + 1),
+    lambda: pmf_taylor(1, 10**6 + 1),
+    lambda: pmf_umvue(2, 10**6 + 1),
+    lambda: pmf_gamma_predictive(1, 2 * 10**6, 0.25, 0.005),
+], ids=["poisson", "poisson_smallest", "plugin_ml", "taylor", "umvue", "gamma_predictive"])
+def test_pmf_builders_refuse_supports_past_the_enumeration_cap(build):
+    with pytest.raises(DomainError):
+        build()
+
+
 def test_gamma_predictive_normalization_and_limits():
     pmf = pmf_gamma_predictive(10, 50, 0.25, 0.005)
     assert np.exp(pmf.log_mass).sum() == pytest.approx(1.0, abs=1e-9)
@@ -389,31 +410,87 @@ def test_gamma_predictive_normalization_and_limits():
         assert big.mass(k) == pytest.approx(float(st.poisson(5.0).pmf(k)), abs=1e-6)
 
 
+def reference_upper_support(lam, tail_mass):
+    """Bisection over 0..hi from a fixed wide start, one cdf per step."""
+    target = 1.0 - tail_mass
+    hi = int(lam + 10.0 * math.sqrt(lam) + 20.0)
+    while poisson_cdf(hi, lam) < target:
+        hi = int(hi * 1.5) + 10
+    lo = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if poisson_cdf(mid, lam) >= target:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+# The exact-props grid, the rate estimates t/n of the simulation cells,
+# a log-spaced sweep up to the enumeration cap, and rates whose support
+# is {0}.
+SUPPORT_RATES = ([k * 0.05 for k in range(1, 10001)]
+                 + [t / n for n in (5, 50, 100, 200) for t in range(1, 3001)]
+                 + [float(v) for v in np.logspace(-9, 6, 1646)]
+                 + [1e-13, 1e-300])
+
+
+def test_poisson_support_ends_at_its_first_bound():
+    pmfs = [pmf_poisson(lam) for lam in SUPPORT_RATES]
+    assert all(p.log_mass.size == p.support_hi + 1 for p in pmfs)
+    lams = np.array(SUPPORT_RATES)
+    his = np.array([p.support_hi for p in pmfs])
+
+    def tail_bound(k):
+        # q = lam/(k + 1) bounds every ratio m(j+1)/m(j) past k; counts only if q < 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = lams / (k + 1.0)
+            return np.where(q < 1.0, st.poisson.pmf(k, lams) * q / (1.0 - q), np.inf)
+
+    # Where q < 1 the bound falls with k, so failing at support_hi - 1
+    # means failing at every smaller k: support_hi is the first k it holds.
+    assert (tail_bound(his) <= TAIL_MASS * (1.0 + 1e-6)).all()
+    assert (tail_bound(his - 1)[his > 0] > TAIL_MASS * (1.0 - 1e-6)).all()
+    assert (st.poisson.sf(his, lams) <= TAIL_MASS).all()
+    assert his[lams <= 1e-13].max() == 0
+    # The support reaches the minimal cdf cut, and the pmf on that cut
+    # gives the same regions; where the two ends agree, so do the pmfs.
+    # Both regions of a rate above 1e5 take about 0.1 s, so they are
+    # compared at every rate up to 1e5 and at the cap.
+    cuts = [reference_upper_support(lam, TAIL_MASS) for lam in SUPPORT_RATES]
+    assert (his >= cuts).all()
+    for lam, pmf, cut in zip(SUPPORT_RATES, pmfs, cuts):
+        if cut == pmf.support_hi or 1e5 < lam < glm._ENUM_LIMIT:
+            continue
+        short = regions.EstimatedPmf(poisson_log_pmf_vector(cut, lam), cut)
+        for alpha in (0.01, 0.05, 0.1):
+            assert regions.build_smallest(short, alpha) == \
+                regions.build_smallest(pmf, alpha), (lam, alpha)
+
+
 @given(hs.integers(min_value=1, max_value=100), hs.integers(min_value=0, max_value=10**5),
        hs.sampled_from([(0.25, 0.005), (0.5, 2.0), (4.0, 0.1)]))
 @example(10, 10**4, (0.25, 0.005))     # its masses sum 1.7e-12 short of 1
 @example(1, 0, (0.5, 2.0))             # kappa + t < 1
+@example(15, 0, (0.5, 2.0))            # there the ratio at k alone ends the support early
 @settings(max_examples=60, deadline=None)
 def test_gamma_predictive_support_ends_at_its_first_bound(n, t, hyper):
     kappa, beta = hyper
     r = kappa + t
     ref = st.nbinom(r, (beta + n) / (beta + n + 1.0))
 
-    def tail_bound(hi):
-        # the largest ratio m(y+1)/m(y) past hi bounds the tail geometrically
-        q = max((r + hi) / (hi + 1.0), 1.0) / (beta + n + 1.0)
-        return ref.pmf(hi) * q / (1.0 - q)
+    def tail_bound(k):
+        # the largest ratio m(y+1)/m(y) past k bounds the tail geometrically
+        q = max((r + k) / (k + 1.0), 1.0) / (beta + n + 1.0)
+        return ref.pmf(k) * q / (1.0 - q) if q < 1.0 else math.inf
 
     pmf = pmf_gamma_predictive(n, t, kappa, beta)
-    mean = r / (beta + n)
-    sd = math.sqrt(r * (beta + n + 1.0)) / (beta + n)
-    tried = [int(mean + 10.0 * sd + 20.0)]
-    while tried[-1] < pmf.support_hi:
-        tried.append(int(tried[-1] * 1.5) + 10)
-    # the support is the first tried bound whose tail bound is met
-    assert tried[-1] == pmf.support_hi and pmf.log_mass.size == pmf.support_hi + 1
-    assert tail_bound(pmf.support_hi) <= TAIL_MASS * (1.0 + 1e-6)
-    assert all(tail_bound(hi) > TAIL_MASS * (1.0 - 1e-6) for hi in tried[:-1])
+    hi = pmf.support_hi
+    assert pmf.log_mass.size == hi + 1
+    # Where q < 1 the bound falls with k (the mode lies at or before the
+    # first such k), so failing at hi - 1 means failing at every smaller k.
+    assert tail_bound(hi) <= TAIL_MASS * (1.0 + 1e-6)
+    assert hi == 0 or tail_bound(hi - 1) > TAIL_MASS * (1.0 - 1e-6)
     assert np.exp(pmf.log_mass).sum() == pytest.approx(1.0, abs=1e-9)
 
 

@@ -348,6 +348,14 @@ def test_regression_experiment_deterministic_and_coverage():
         assert 82.0 <= cp <= 100.0, (name, cp)
 
 
+def test_intercept_refuses_totals_past_the_enumeration_cap(monkeypatch):
+    # n * lam is checked before a replication is drawn.
+    monkeypatch.setattr(simulate, "_intercept_reps",
+                        lambda *args: pytest.fail("replications were drawn"))
+    with pytest.raises(DomainError):
+        run_intercept_experiment(intercept_config(n=10, lam=2e5))
+
+
 def test_config_validation():
     with pytest.raises(DomainError):
         run_intercept_experiment(intercept_config(lam=None))

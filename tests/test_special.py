@@ -9,7 +9,6 @@ import scipy.stats as st
 from hypothesis import given, strategies as hs
 
 from countpred.special import (
-    TAIL_MASS,
     chisq_sf,
     lgamma,
     normal_cdf,
@@ -19,7 +18,6 @@ from countpred.special import (
     poisson_log_pmf,
     poisson_log_pmf_vector,
     poisson_pmf,
-    poisson_upper_support,
     reg_upper_gamma,
 )
 
@@ -80,51 +78,6 @@ def test_poisson_cdf_against_scipy():
 def test_poisson_cdf_monotone(lam, w, dw):
     a, b = poisson_cdf(w, lam), poisson_cdf(w + dw, lam)
     assert 0.0 <= a <= b <= 1.0
-
-
-def test_upper_support_is_minimal_tail_cut():
-    for lam in (5.0, 17.0, 100.0):
-        m = poisson_upper_support(lam)
-        assert 1.0 - poisson_cdf(m, lam) <= TAIL_MASS
-        assert 1.0 - poisson_cdf(m - 1, lam) > TAIL_MASS
-    assert poisson_upper_support(100.0) >= poisson_upper_support(5.0)
-
-
-def reference_upper_support(lam, tail_mass):
-    """Bisection over 0..hi from a fixed wide start, one cdf per step."""
-    target = 1.0 - tail_mass
-    hi = int(lam + 10.0 * math.sqrt(lam) + 20.0)
-    while poisson_cdf(hi, lam) < target:
-        hi = int(hi * 1.5) + 10
-    lo = 0
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if poisson_cdf(mid, lam) >= target:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-# The exact-props grid, the rate estimates t/n of the simulation cells,
-# a log-spaced sweep, and rates whose support is {0} or very wide.
-SUPPORT_RATES = ([k * 0.05 for k in range(1, 10001)]
-                 + [t / n for n in (5, 50, 100, 200) for t in range(1, 3001)]
-                 + [float(v) for v in np.logspace(-9, 6, 1646)]
-                 + [1e-13, 1e-300, 1e6, 1e7])
-
-
-@pytest.mark.parametrize("tail_mass", [TAIL_MASS, 1e-6, 1e-15, 1e-20, 1e-300, 0.5, 0.999])
-def test_upper_support_matches_reference_bisection(tail_mass):
-    # Every rate at the default tail mass; every 7th rate (and the four
-    # extremes) at the others, to bound the run time.
-    rates = SUPPORT_RATES if tail_mass == TAIL_MASS else SUPPORT_RATES[::7] + SUPPORT_RATES[-4:]
-    got = [poisson_upper_support(lam, tail_mass) for lam in rates]
-    want = [reference_upper_support(lam, tail_mass) for lam in rates]
-    assert got == want
-    # P(X > 0) is about lam, so the support is {0} once lam <= tail_mass.
-    assert poisson_upper_support(1e-300, tail_mass) == 0
-    assert (poisson_upper_support(1e-13, tail_mass) == 0) == (tail_mass >= 1e-13)
 
 
 def test_normal_cdf_pdf_match_scipy():
