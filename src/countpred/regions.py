@@ -126,23 +126,24 @@ def _check_enumerable(size: float, what: str) -> None:
                           "scale whose support is enumerated")
 
 
-def _truncated(log_mass_upto, ratio_bound, hi: int) -> EstimatedPmf:
+def _truncated(log_mass_upto, ratio_bound, first: int, hi: int) -> EstimatedPmf:
     """The pmf on 0..k for the first k whose tail bound is at most ``TAIL_MASS``.
 
     ``log_mass_upto(hi)`` gives m(0..hi) in logs, each with the same bits
     however large hi is; ``ratio_bound(ks)`` a q_k, nonincreasing in k,
     bounding every m(j+1)/m(j) with j >= k.  Where q_k < 1 the tail past
-    k is at most m(k) q_k/(1 - q_k).  hi grows by half until k is found.
+    k is at most m(k) q_k/(1 - q_k).  The scan starts at ``first``, at
+    most the first k with q_k < 1, and hi grows by half until k is found.
     """
     while True:
         log_mass = log_mass_upto(hi)
-        q = ratio_bound(np.arange(hi + 1, dtype=np.float64))
-        lo = int(np.count_nonzero(q >= 1.0))    # q falls: q_k < 1 from lo on
-        q = q[lo:]
+        q = ratio_bound(np.arange(first, hi + 1, dtype=np.float64))
+        lo = first + int(np.count_nonzero(q >= 1.0))    # q_k < 1 from lo on
+        q = q[lo - first:]
         met = np.flatnonzero(np.exp(log_mass[lo:]) * q / (1.0 - q) <= TAIL_MASS)
         if met.size:
             k = lo + int(met[0])
-            return EstimatedPmf(log_mass[:k + 1], k)
+            return EstimatedPmf(log_mass[:k + 1].copy(), k)
         hi = int(hi * 1.5) + 10
 
 
@@ -154,8 +155,8 @@ def pmf_poisson(lam: float) -> EstimatedPmf:
     if lam == 0.0:
         return EstimatedPmf(np.zeros(1), 0)
     return _truncated(lambda hi: poisson_log_pmf_vector(hi, lam),
-                      lambda ks: lam / (ks + 1.0),
-                      int(lam + 10.0 * math.sqrt(lam) + 20.0))
+                      lambda ks: lam / (ks + 1.0),        # < 1 from k = floor(lam) on
+                      max(int(lam) - 1, 0), int(lam + 10.0 * math.sqrt(lam) + 20.0))
 
 
 def pmf_plugin_ml(n: int, t: int) -> EstimatedPmf:
@@ -242,7 +243,8 @@ def pmf_gamma_predictive(n: int, t: int, kappa: float, beta: float) -> Estimated
     (beta + n)/(beta + n + 1), built by a log-space ratio recurrence and
     truncated by ``_truncated``: the ratio m(y+1)/m(y) =
     (r + y)/((y + 1)(beta + n + 1)), r = kappa + t, falls with y when
-    r >= 1 and stays below 1/(beta + n + 1) when r < 1.
+    r >= 1 and stays below 1/(beta + n + 1) when r < 1; it is below 1 from
+    y = floor((r - 1)/(beta + n)) on.
     """
     if n < 1:
         raise DomainError(f"pmf_gamma_predictive requires n >= 1, got {n}")
@@ -264,7 +266,7 @@ def pmf_gamma_predictive(n: int, t: int, kappa: float, beta: float) -> Estimated
 
     return _truncated(log_mass_upto,
                       lambda ks: np.maximum((r + ks) / (ks + 1.0), 1.0) / (beta + n + 1.0),
-                      int(mean + 10.0 * sd + 20.0))
+                      max(int((r - 1.0) / (beta + n)) - 1, 0), int(mean + 10.0 * sd + 20.0))
 
 
 def hyper_from_mean_sd(mean: float, sd: float) -> tuple[float, float]:

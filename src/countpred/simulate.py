@@ -441,7 +441,9 @@ def run_intercept_experiment(config: SimConfig) -> SimResult:
     if config.lam is None or config.lam <= 0:
         raise DomainError("intercept scenario requires lam > 0")
     _check_run(config)
-    _check_enumerable(config.n * config.lam, "intercept scenario n*lam")
+    # A total passes n*lam by 10 sd with probability below 1e-22.
+    mean = config.n * config.lam
+    _check_enumerable(mean + 10.0 * math.sqrt(mean), "intercept scenario n*lam + 10 sd")
     covers, lengths = _intercept_reps(config.seed, 0, config.replications, config.n,
                                       config.lam, config.alpha, config.workers)
     return _reduce(config, INTERCEPT_REGIONS, [(covers, lengths, 0)])

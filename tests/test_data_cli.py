@@ -471,7 +471,8 @@ def test_cli_exact_props(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["exact-props", "--lambda-grid", "2e6"],
-    ["simulate", "--scenario", "intercept", "--n", "10", "--lambda", "2e5"],
+    ["simulate", "--scenario", "intercept", "--n", "10", "--lambda", "1e5",
+     "--reps", "300"],
 ])
 def test_cli_refuses_supports_past_the_enumeration_cap(argv, capsys):
     code, out, err = run_captured(argv, capsys)

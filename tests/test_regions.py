@@ -437,7 +437,8 @@ SUPPORT_RATES = ([k * 0.05 for k in range(1, 10001)]
 
 def test_poisson_support_ends_at_its_first_bound():
     pmfs = [pmf_poisson(lam) for lam in SUPPORT_RATES]
-    assert all(p.log_mass.size == p.support_hi + 1 for p in pmfs)
+    # each pmf owns its masses: no view keeps a longer grown vector alive
+    assert all(p.log_mass.size == p.support_hi + 1 and p.log_mass.base is None for p in pmfs)
     lams = np.array(SUPPORT_RATES)
     his = np.array([p.support_hi for p in pmfs])
 
@@ -453,19 +454,30 @@ def test_poisson_support_ends_at_its_first_bound():
     assert (tail_bound(his - 1)[his > 0] > TAIL_MASS * (1.0 - 1e-6)).all()
     assert (st.poisson.sf(his, lams) <= TAIL_MASS).all()
     assert his[lams <= 1e-13].max() == 0
-    # The support reaches the minimal cdf cut, and the pmf on that cut
-    # gives the same regions; where the two ends agree, so do the pmfs.
-    # Both regions of a rate above 1e5 take about 0.1 s, so they are
-    # compared at every rate up to 1e5 and at the cap.
-    cuts = [reference_upper_support(lam, TAIL_MASS) for lam in SUPPORT_RATES]
-    assert (his >= cuts).all()
-    for lam, pmf, cut in zip(SUPPORT_RATES, pmfs, cuts):
-        if cut == pmf.support_hi or 1e5 < lam < glm._ENUM_LIMIT:
+    # The cdf rises with k, so support_hi reaches the minimal cdf cut
+    # where the cdf at support_hi is at least 1 - TAIL_MASS, and the cut
+    # lies below support_hi only where the cdf at support_hi - 1 is too.
+    target = 1.0 - TAIL_MASS
+    assert all(poisson_cdf(hi, lam) >= target for lam, hi in zip(SUPPORT_RATES, his))
+    for lam, pmf in zip(SUPPORT_RATES, pmfs):
+        if pmf.support_hi == 0 or poisson_cdf(pmf.support_hi - 1, lam) < target:
             continue
-        short = regions.EstimatedPmf(poisson_log_pmf_vector(cut, lam), cut)
-        for alpha in (0.01, 0.05, 0.1):
-            assert regions.build_smallest(short, alpha) == \
-                regions.build_smallest(pmf, alpha), (lam, alpha)
+        cut = reference_upper_support(lam, TAIL_MASS)
+        short = poisson_log_pmf_vector(cut, lam)
+        assert cut < pmf.support_hi and np.array_equal(short, pmf.log_mass[:cut + 1])
+        if lam <= 1e5:
+            # The pmf on the cut gives the same regions.
+            for alpha in (0.01, 0.05, 0.1):
+                assert regions.build_smallest(regions.EstimatedPmf(short, cut), alpha) == \
+                    regions.build_smallest(pmf, alpha), (lam, alpha)
+            continue
+        # Sorting a support past 1e5 takes 10-50 ms, so here the regions
+        # are shown equal without sorting: masses of 0..cut more than a log
+        # unit above every dropped mass hold over 0.99 of the total, so at
+        # alpha >= 0.01 the core and boundary are drawn from them, in the
+        # same order, and no dropped mass is tied with the boundary.
+        dropped = pmf.log_mass[cut + 1:].max()
+        assert np.exp(short[short > dropped + 1.0]).sum() > 0.99 + 1e-9, lam
 
 
 @given(hs.integers(min_value=1, max_value=100), hs.integers(min_value=0, max_value=10**5),
@@ -486,7 +498,7 @@ def test_gamma_predictive_support_ends_at_its_first_bound(n, t, hyper):
 
     pmf = pmf_gamma_predictive(n, t, kappa, beta)
     hi = pmf.support_hi
-    assert pmf.log_mass.size == hi + 1
+    assert pmf.log_mass.size == hi + 1 and pmf.log_mass.base is None
     # Where q < 1 the bound falls with k (the mode lies at or before the
     # first such k), so failing at hi - 1 means failing at every smaller k.
     assert tail_bound(hi) <= TAIL_MASS * (1.0 + 1e-6)

@@ -348,12 +348,20 @@ def test_regression_experiment_deterministic_and_coverage():
         assert 82.0 <= cp <= 100.0, (name, cp)
 
 
-def test_intercept_refuses_totals_past_the_enumeration_cap(monkeypatch):
-    # n * lam is checked before a replication is drawn.
+@pytest.mark.parametrize("lam", [2e5, 1e5, 99_600.0])
+def test_intercept_refuses_totals_past_the_enumeration_cap(monkeypatch, lam):
+    # n*lam + 10 sd is checked before a replication is drawn: at
+    # n*lam = 1e6 about half the totals would pass the cap.
     monkeypatch.setattr(simulate, "_intercept_reps",
                         lambda *args: pytest.fail("replications were drawn"))
     with pytest.raises(DomainError):
-        run_intercept_experiment(intercept_config(n=10, lam=2e5))
+        run_intercept_experiment(intercept_config(n=10, lam=lam, replications=300))
+
+
+def test_intercept_runs_at_the_largest_admitted_scale():
+    # n*lam + 10 sd = 999,950: every total is enumerated, up to about 1e6.
+    res = run_intercept_experiment(intercept_config(n=10, lam=99_000.0, replications=2))
+    assert res.regions == INTERCEPT_REGIONS
 
 
 def test_config_validation():
