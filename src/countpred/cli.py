@@ -65,11 +65,12 @@ from .glm import (
 from .overdispersion import estimate_xi, fit_overdispersed, region_overdispersed
 from .regions import (
     _check_alpha,
-    _poisson_smallest,
     exact_region_properties,
+    pmf_poisson,
     realize,
     region_nonrandomized,
     region_normal_known,
+    region_smallest,
     region_sqrt_known,
 )
 from .simulate import SimConfig, result_to_csv, run_experiment
@@ -410,7 +411,7 @@ def _cmd_exact_props(args) -> int:
              "lambda,Gam0R_coverage,Gam0R_length,Gam0N_coverage,Gam0N_length,"
              "Gam1_coverage,Gam1_length,Gam2_coverage,Gam2_length"]
     for lam in _parse_values(args.lambda_grid, float):
-        randomized = realize(_poisson_smallest(lam, args.alpha), 0.0)
+        randomized = region_smallest(pmf_poisson(lam), args.alpha, 0.0)
         cells = []
         for region in (randomized, region_nonrandomized(randomized),
                        region_normal_known(lam, args.alpha),

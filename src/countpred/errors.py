@@ -24,9 +24,10 @@ class DivergenceError(CountpredError):
 
 
 class NonConvergenceError(CountpredError):
-    """Newton-Raphson exhausted its iteration budget.
+    """An iteration exhausted its budget.
 
-    Carries the last iterate so callers can inspect it.
+    Newton-Raphson carries its last iterate so callers can inspect it;
+    the incomplete-gamma series and continued fraction carry none.
     """
 
     def __init__(self, message, theta=None, iterations=None):

@@ -32,8 +32,9 @@ from .regions import (
     _check_alpha,
     _log_factorials,
     _normal_interval,
-    _poisson_smallest,
     _sqrt_interval,
+    build_smallest,
+    pmf_poisson,
     realize,
 )
 from .special import chisq_sf
@@ -450,7 +451,7 @@ def _variant_region(lam0: float, vhat: float, alpha: float,
     if variant == "smallest-plugin":
         if lam0 > _ENUM_LIMIT:
             return _normal_interval(lam0, lam0, alpha)
-        return _poisson_smallest(lam0, alpha)
+        return build_smallest(pmf_poisson(lam0), alpha)
     raise DomainError(f"unknown region variant: {variant!r}")
 
 

@@ -56,8 +56,10 @@ __all__ = [
 # real (integer rates give p(k-1) = p(k)) but arrive with rounding.
 TIE_RTOL = 1e-12
 
-# A mass at least this (in logs) lies inside pmf_poisson's support.
-_LOG_CUT_FLOOR = math.log(10.0 * TAIL_MASS)
+# About TAIL_MASS lies past the Cornish-Fisher point mean + _TAIL_Z sd +
+# _CF_SKEW sd skewness; Poisson and negative binomial supports end near it.
+_TAIL_Z = -normal_quantile(TAIL_MASS)
+_CF_SKEW = (_TAIL_Z * _TAIL_Z - 1.0) / 6.0
 
 # The pmf builders raise DomainError past this rate, total or mean; glm's
 # smallest-plugin region is then the normal interval it is close to.
@@ -93,11 +95,6 @@ class PredictionRegion:
     # unimodal pmfs; kept so coverage stays exact for arbitrary input).
     core_set: tuple[int, ...] | None = None
 
-    def core_size(self) -> int:
-        if self.core_set is not None:
-            return len(self.core_set)
-        return max(0, self.core_hi - self.core_lo + 1)
-
     def realized_contains(self, k: int) -> bool:
         return self.realized_lo <= k <= self.realized_hi
 
@@ -126,37 +123,37 @@ def _check_enumerable(size: float, what: str) -> None:
                           "scale whose support is enumerated")
 
 
-def _truncated(log_mass_upto, ratio_bound, first: int, hi: int) -> EstimatedPmf:
-    """The pmf on 0..k for the first k whose tail bound is at most ``TAIL_MASS``.
+def _support_end(log_mass_at, ratio_bound, start: int) -> int:
+    """The first k whose tail bound m(k) q_k/(1 - q_k) is at most ``TAIL_MASS``.
 
-    ``log_mass_upto(hi)`` gives m(0..hi) in logs, each with the same bits
-    however large hi is; ``ratio_bound(ks)`` a q_k, nonincreasing in k,
-    bounding every m(j+1)/m(j) with j >= k.  Where q_k < 1 the tail past
-    k is at most m(k) q_k/(1 - q_k).  The scan starts at ``first``, at
-    most the first k with q_k < 1, and hi grows by half until k is found.
+    ``log_mass_at(k)`` gives ln m(k); ``ratio_bound(k)`` a q_k, nonincreasing
+    in k, bounding every m(j+1)/m(j) with j >= k.  Only k with q_k < 1
+    count; past the first such k the bound falls, so the walk from
+    ``start`` steps down while it holds one below, then up until it holds.
     """
-    while True:
-        log_mass = log_mass_upto(hi)
-        q = ratio_bound(np.arange(first, hi + 1, dtype=np.float64))
-        lo = first + int(np.count_nonzero(q >= 1.0))    # q_k < 1 from lo on
-        q = q[lo - first:]
-        met = np.flatnonzero(np.exp(log_mass[lo:]) * q / (1.0 - q) <= TAIL_MASS)
-        if met.size:
-            k = lo + int(met[0])
-            return EstimatedPmf(log_mass[:k + 1].copy(), k)
-        hi = int(hi * 1.5) + 10
+    def holds(k):
+        q = ratio_bound(k)
+        return q < 1.0 and math.exp(log_mass_at(k)) * q / (1.0 - q) <= TAIL_MASS
+
+    k = start
+    while k > 0 and holds(k - 1):
+        k -= 1
+    while not holds(k):
+        k += 1
+    return k
 
 
 def pmf_poisson(lam: float) -> EstimatedPmf:
-    """Poisson pmf at rate ``lam``, truncated with q_k = lam/(k+1) = m(k+1)/m(k)."""
+    """Poisson pmf at rate ``lam`` on 0..k, k the ``_support_end`` for
+    q_k = lam/(k+1) = m(k+1)/m(k) walked from the Cornish-Fisher point."""
     if lam < 0:
         raise DomainError(f"pmf_poisson requires lam >= 0, got {lam}")
     _check_enumerable(lam, "pmf_poisson rate")
     if lam == 0.0:
         return EstimatedPmf(np.zeros(1), 0)
-    return _truncated(lambda hi: poisson_log_pmf_vector(hi, lam),
-                      lambda ks: lam / (ks + 1.0),        # < 1 from k = floor(lam) on
-                      max(int(lam) - 1, 0), int(lam + 10.0 * math.sqrt(lam) + 20.0))
+    hi = _support_end(lambda k: poisson_log_pmf(k, lam), lambda k: lam / (k + 1.0),
+                      int(lam + _TAIL_Z * math.sqrt(lam) + _CF_SKEW))
+    return EstimatedPmf(poisson_log_pmf_vector(hi, lam), hi)
 
 
 def pmf_plugin_ml(n: int, t: int) -> EstimatedPmf:
@@ -239,12 +236,14 @@ def pmf_umvue(n: int, t: int) -> EstimatedPmf:
 def pmf_gamma_predictive(n: int, t: int, kappa: float, beta: float) -> EstimatedPmf:
     """Predictive pmf under a gamma(kappa, beta) prior on the rate.
 
-    Negative binomial with t + kappa successes and success probability
-    (beta + n)/(beta + n + 1), built by a log-space ratio recurrence and
-    truncated by ``_truncated``: the ratio m(y+1)/m(y) =
-    (r + y)/((y + 1)(beta + n + 1)), r = kappa + t, falls with y when
-    r >= 1 and stays below 1/(beta + n + 1) when r < 1; it is below 1 from
-    y = floor((r - 1)/(beta + n)) on.
+    Negative binomial with r = kappa + t successes and success
+    probability (beta + n)/(beta + n + 1).  Its ratio m(y+1)/m(y) =
+    (r + y)/((y + 1)(beta + n + 1)) falls with y when r >= 1 and stays
+    below 1/(beta + n + 1) when r < 1, so ``_support_end`` ends the
+    support on q_y = max((r + y)/(y + 1), 1)/(beta + n + 1).  Log ratios
+    summed back from hi stay small over the mode; the masses are then
+    normalized over 0..hi, since ln m(hi) from lgamma differences near
+    1e6 carries up to 1e-9 of rounding and the dropped tail TAIL_MASS.
     """
     if n < 1:
         raise DomainError(f"pmf_gamma_predictive requires n >= 1, got {n}")
@@ -259,14 +258,16 @@ def pmf_gamma_predictive(n: int, t: int, kappa: float, beta: float) -> Estimated
     log_succ = math.log(beta + n) + log_fail      # ln (beta+n)/(beta+n+1)
     sd = math.sqrt(r * (beta + n + 1.0)) / (beta + n)
 
-    def log_mass_upto(hi):
-        ys = np.arange(1, hi + 1, dtype=np.float64)
-        steps = np.log((r + ys - 1.0) / ys) + log_fail
-        return r * log_succ + np.concatenate(([0.0], np.cumsum(steps)))
+    def log_mass_at(k):
+        return (math.lgamma(r + k) - math.lgamma(r) - math.lgamma(k + 1.0)
+                + r * log_succ + k * log_fail)
 
-    return _truncated(log_mass_upto,
-                      lambda ks: np.maximum((r + ks) / (ks + 1.0), 1.0) / (beta + n + 1.0),
-                      max(int((r - 1.0) / (beta + n)) - 1, 0), int(mean + 10.0 * sd + 20.0))
+    hi = _support_end(log_mass_at, lambda k: max((r + k) / (k + 1.0), 1.0) / (beta + n + 1.0),
+                      int(mean + _TAIL_Z * sd + _CF_SKEW * (1.0 + 2.0 / (beta + n))))
+    ys = np.arange(hi, 0, -1, dtype=np.float64)
+    steps = np.log((r + ys - 1.0) / ys) + log_fail    # ln m(y)/m(y-1), y = hi..1
+    rel = -np.concatenate(([0.0], np.cumsum(steps)))[::-1]   # ln m(y)/m(hi), y = 0..hi
+    return EstimatedPmf(rel - math.log(np.exp(rel).sum()), hi)
 
 
 def hyper_from_mean_sd(mean: float, sd: float) -> tuple[float, float]:
@@ -373,11 +374,7 @@ def build_smallest(pmf: EstimatedPmf, alpha: float) -> PredictionRegion:
     of the core alone; ``realize`` applies a uniform draw.
     """
     _check_alpha(alpha)
-    return _region_from_scan(*_group_scan(np.asarray(pmf.log_mass), 1.0 - alpha), alpha)
-
-
-def _region_from_scan(order, core_end, boundary_end, gamma, alpha) -> PredictionRegion:
-    """The region at level 1 - alpha from a _group_scan result."""
+    order, core_end, boundary_end, gamma = _group_scan(np.asarray(pmf.log_mass), 1.0 - alpha)
     core = order[:core_end]
     boundary = order[core_end:boundary_end]
     if core.size:
@@ -398,34 +395,6 @@ def _region_from_scan(order, core_end, boundary_end, gamma, alpha) -> Prediction
         length=float(max(0, core_hi - core_lo)),
         core_set=core_set,
     )
-
-
-def _poisson_smallest(lam: float, alpha: float) -> PredictionRegion:
-    """build_smallest(pmf_poisson(lam), alpha), mostly without its full support.
-
-    Scans the log-masses of 0..cut only, with cut a Cornish-Fisher bound
-    past the region's upper end.  poisson_log_pmf_vector gives the mass
-    at k the same bits however far the vector runs, and masses decrease
-    past cut > lam, so this scan sorts and sums exactly as the scan of
-    the full support when (a) the full support reaches cut, which holds
-    when the mass at cut is above TAIL_MASS, since every mass past the
-    support is within its tail bound (the check keeps a tenfold margin),
-    and (b) cut does not sort before the value following the boundary
-    group, whose gap to the group decides where the group ends.
-    Otherwise it builds from pmf_poisson.
-    """
-    _check_alpha(alpha)
-    _check_enumerable(lam, "rate")
-    if lam > 0.0:
-        z = _z(alpha)
-        cut = int(lam + (z + 1.0) * math.sqrt(lam) + (z * z + 5.0) / 6.0) + 2
-        log_mass = poisson_log_pmf_vector(cut, lam)
-        scan = _group_scan(log_mass, 1.0 - alpha)
-        order, boundary_end = scan[0], scan[2]
-        if (log_mass[cut] > _LOG_CUT_FLOOR and boundary_end < order.size
-                and log_mass[cut] <= log_mass[order[boundary_end]]):
-            return _region_from_scan(*scan, alpha)
-    return build_smallest(pmf_poisson(lam), alpha)
 
 
 def realize(region: PredictionRegion, u: float) -> PredictionRegion:

@@ -8,6 +8,7 @@ import scipy.special as sp
 import scipy.stats as st
 from hypothesis import given, strategies as hs
 
+from countpred import NonConvergenceError, special
 from countpred.special import (
     chisq_sf,
     lgamma,
@@ -70,6 +71,21 @@ def test_poisson_cdf_against_scipy():
         for w in (0.0, 1.0, lam / 2, lam, lam + 3 * math.sqrt(lam), 2 * lam + 9):
             assert poisson_cdf(w, lam) == pytest.approx(
                 float(st.poisson(lam).cdf(math.floor(w))), rel=1e-10, abs=1e-13)
+
+
+@pytest.mark.parametrize("lam", [3e4, 1e5, 1e6])
+def test_poisson_cdf_converges_at_large_rates(lam):
+    # near m = lam both incomplete-gamma branches need about 8 sqrt(lam) terms
+    for z in range(-3, 4):
+        m = math.floor(lam + z * math.sqrt(lam))
+        assert poisson_cdf(m, lam) == pytest.approx(float(st.poisson.cdf(m, lam)), abs=1e-9)
+
+
+@pytest.mark.parametrize("x", [90.0, 110.0], ids=["series", "continued_fraction"])
+def test_incomplete_gamma_raises_when_its_term_budget_runs_out(monkeypatch, x):
+    monkeypatch.setattr(special, "_gamma_terms", lambda a: 20)
+    with pytest.raises(NonConvergenceError):
+        reg_upper_gamma(100.0, x)
 
 
 @given(hs.floats(min_value=0.05, max_value=500.0),
