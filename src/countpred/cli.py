@@ -372,13 +372,10 @@ def _cmd_sweep(args) -> int:
 
 def _parse_w_dist(text: str) -> tuple:
     parts = [p.strip() for p in text.split(",")]
-    if parts[0] == "uniform":
-        if len(parts) == 1:
-            return ("uniform", 0.0, 1.0)
-        if len(parts) == 3:
-            return ("uniform", _convert(parts[1], float), _convert(parts[2], float))
-    if parts[0] == "normal" and len(parts) == 3:
-        return ("normal", _convert(parts[1], float), _convert(parts[2], float))
+    if parts == ["uniform"]:
+        return ("uniform", 0.0, 1.0)
+    if len(parts) == 3 and parts[0] in ("uniform", "normal"):
+        return (parts[0], _convert(parts[1], float), _convert(parts[2], float))
     raise DomainError(f"bad covariate law {text!r}; use uniform[,lo,hi] or normal,mu,sd")
 
 

@@ -12,6 +12,7 @@ prediction variances, taken in the fit's QR basis, do not depend on.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -30,7 +31,6 @@ from .regions import (
     _ENUM_LIMIT,
     PredictionRegion,
     _check_alpha,
-    _log_factorials,
     _normal_interval,
     _sqrt_interval,
     build_smallest,
@@ -61,10 +61,12 @@ _EXP_LIMIT = 700.0
 
 _MAX_ITER = 100
 
-# fit reads ln y! of counts below this from the shared table of
-# regions._log_factorials; larger counts go through lgamma, so the table
-# does not grow with the data.
+# fit reads ln y! of counts below this from _log_factorial_table; larger
+# counts go through lgamma.
 _LOG_FACTORIAL_CAP = 4096
+
+# Weekday index of each lower-case weekday name.
+_WEEKDAY_INDEX = {name.lower(): i for i, name in enumerate(WEEKDAYS)}
 
 _EPS = np.finfo(np.float64).eps
 
@@ -118,14 +120,13 @@ class ResidualDiagnostics:
 
 def _weekday_index(label) -> int:
     if isinstance(label, (int, np.integer)):
-        idx = int(label)
-        if not 0 <= idx <= 6:
+        if not 0 <= label <= 6:
             raise DesignError(f"weekday index out of range 0..6: {label}")
-        return idx
-    name = str(label).strip().capitalize()
-    if name not in WEEKDAYS:
+        return int(label)
+    idx = _WEEKDAY_INDEX.get(str(label).strip().lower())
+    if idx is None:
         raise DesignError(f"invalid weekday label: {label!r}")
-    return WEEKDAYS.index(name)
+    return idx
 
 
 def _columns(w: np.ndarray, day_labels, spec: DesignSpec) -> np.ndarray:
@@ -229,16 +230,21 @@ def _log_factorial_terms(y: np.ndarray) -> np.ndarray:
     return np.array([math.lgamma(v + 1.0) for v in y])
 
 
+@functools.cache
+def _log_factorial_table() -> np.ndarray:
+    """ln k! = math.lgamma(k + 1) for k < _LOG_FACTORIAL_CAP, built on first use."""
+    return np.array([math.lgamma(k + 1) for k in range(_LOG_FACTORIAL_CAP)])
+
+
 def _count_log_factorials(y: np.ndarray) -> np.ndarray:
     """_log_factorial_terms(y) for nonnegative integer counts y (floats).
 
-    Read from the shared table of the same lgamma values when every
-    count is below _LOG_FACTORIAL_CAP.
+    Read from the table of the same lgamma values when every count is
+    below _LOG_FACTORIAL_CAP.
     """
     k = y.astype(np.int64)
-    top = int(k.max(initial=0))
-    if top < _LOG_FACTORIAL_CAP:
-        return _log_factorials(top)[k]
+    if int(k.max(initial=0)) < _LOG_FACTORIAL_CAP:
+        return _log_factorial_table()[k]
     return _log_factorial_terms(y)
 
 

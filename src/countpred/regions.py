@@ -10,7 +10,9 @@ with the nonnegative integers.
 Estimated-rate variants plug a pmf estimate into the same machinery:
 plug-in maximum likelihood, a second-order Taylor correction, the
 unbiased (binomial) estimator, and a gamma-prior predictive.  All pmfs
-are represented as dense log-mass arrays over a truncated support.
+are represented as dense log-mass arrays over a truncated support; the
+Poisson, unbiased and predictive ones sum the log ratio of neighbouring
+masses back from the support end.
 """
 
 from __future__ import annotations
@@ -22,13 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DivergenceError, DomainError, MomentFailure
-from .special import (
-    TAIL_MASS,
-    normal_quantile,
-    poisson_cdf,
-    poisson_log_pmf,
-    poisson_log_pmf_vector,
-)
+from .special import TAIL_MASS, normal_quantile, poisson_cdf, poisson_log_pmf
 
 __all__ = [
     "PredictionRegion",
@@ -64,10 +60,6 @@ _CF_SKEW = (_TAIL_Z * _TAIL_Z - 1.0) / 6.0
 # The pmf builders raise DomainError past this rate, total or mean; glm's
 # smallest-plugin region is then the normal interval it is close to.
 _ENUM_LIMIT = 1e6
-
-# ln k! for k = 0, 1, ...; entry k is math.lgamma(k + 1), grown on demand
-# by _log_factorials.
-_LOG_FACTORIALS = np.empty(0)
 
 
 @dataclass(frozen=True)
@@ -143,6 +135,23 @@ def _support_end(log_mass_at, ratio_bound, start: int) -> int:
     return k
 
 
+def _pmf_from_ratios(log_mass_at, ratio_bound, start: int, log_back_ratio) -> EstimatedPmf:
+    """The pmf on 0..hi, hi the ``_support_end`` of the first three arguments,
+    whose ln m(y-1)/m(y) is ``log_back_ratio(ys)`` at ys = hi..1.
+
+    Their running sums give ln m(y)/m(hi), far inside the float range where
+    mass lies, as m(hi) q/(1 - q) with q = ``ratio_bound(hi)`` just reaches
+    TAIL_MASS.  The masses are scaled so that 0..hi and that geometric tail
+    hold mass 1, not by ln m(hi) from lgamma, which near 1e6 is 1e-9 off.
+    """
+    hi = _support_end(log_mass_at, ratio_bound, start)
+    q = ratio_bound(hi)
+    rel = np.zeros(hi + 1)
+    np.add.accumulate(log_back_ratio(np.arange(hi, 0, -1.0)), out=rel[:hi][::-1])
+    rel -= math.log(np.exp(rel).sum() + q / (1.0 - q))
+    return EstimatedPmf(rel, hi)
+
+
 def pmf_poisson(lam: float) -> EstimatedPmf:
     """Poisson pmf at rate ``lam`` on 0..k, k the ``_support_end`` for
     q_k = lam/(k+1) = m(k+1)/m(k) walked from the Cornish-Fisher point."""
@@ -151,9 +160,9 @@ def pmf_poisson(lam: float) -> EstimatedPmf:
     _check_enumerable(lam, "pmf_poisson rate")
     if lam == 0.0:
         return EstimatedPmf(np.zeros(1), 0)
-    hi = _support_end(lambda k: poisson_log_pmf(k, lam), lambda k: lam / (k + 1.0),
-                      int(lam + _TAIL_Z * math.sqrt(lam) + _CF_SKEW))
-    return EstimatedPmf(poisson_log_pmf_vector(hi, lam), hi)
+    return _pmf_from_ratios(lambda k: poisson_log_pmf(k, lam), lambda k: lam / (k + 1.0),
+                            int(lam + _TAIL_Z * math.sqrt(lam) + _CF_SKEW),
+                            lambda ys: np.log(ys / lam))
 
 
 def pmf_plugin_ml(n: int, t: int) -> EstimatedPmf:
@@ -194,43 +203,30 @@ def _taylor_from_plugin(plugin: EstimatedPmf, n: int, t: int) -> EstimatedPmf:
     return EstimatedPmf(logm, hi)
 
 
-def _log_factorials(m: int) -> np.ndarray:
-    """Table of ln k! covering k = 0..m (it may be longer).
-
-    Entries are math.lgamma(k + 1), computed once per process, so a
-    value never depends on the order in which tables were requested.
-    """
-    global _LOG_FACTORIALS
-    table = _LOG_FACTORIALS
-    if table.size <= m:
-        grown = max(m + 1, 2 * table.size)
-        tail = np.array([math.lgamma(k + 1) for k in range(table.size, grown)])
-        table = np.concatenate([table, tail])
-        _LOG_FACTORIALS = table
-    return table
-
-
 def pmf_umvue(n: int, t: int) -> EstimatedPmf:
-    """Unbiased pmf estimate: binomial(t, 1/n) masses on {0..t}.
+    """Unbiased pmf estimate: binomial(t, 1/n) masses, n = 1 the point mass at t.
 
-    The log binomial coefficients are ln t! - ln k! - ln (t-k)!, read
-    from a process-wide table of math.lgamma(k + 1) values that grows to
-    cover the largest t seen; the values equal per-call lgamma calls.
+    For n >= 2 the support is 0..k, k the ``_support_end`` for
+    q_k = (t - k)/((k + 1)(n - 1)) = m(k+1)/m(k), walked from the
+    Cornish-Fisher point clamped at t, where q_t = 0 ends any walk.
     """
     if n < 1:
         raise DomainError(f"pmf_umvue requires n >= 1, got {n}")
     if t < 0:
         raise DomainError(f"pmf_umvue requires t >= 0, got {t}")
     _check_enumerable(t, "pmf_umvue total")
-    if n == 1 or t == 0:
+    if n == 1:
         logm = np.full(t + 1, -np.inf)
         logm[t] = 0.0
         return EstimatedPmf(logm, t)
-    ks = np.arange(t + 1, dtype=np.float64)
-    table = _log_factorials(t)
-    lchoose = math.lgamma(t + 1) - table[:t + 1] - table[t::-1]
-    logm = lchoose + ks * math.log(1.0 / n) + (t - ks) * math.log1p(-1.0 / n)
-    return EstimatedPmf(logm, t)
+    log_p, log_fail = -math.log(n), math.log1p(-1.0 / n)
+    sd = math.sqrt(t / n * (1.0 - 1.0 / n))
+    return _pmf_from_ratios(
+        lambda k: (math.lgamma(t + 1.0) - math.lgamma(k + 1.0) - math.lgamma(t - k + 1.0)
+                   + k * log_p + (t - k) * log_fail),
+        lambda k: (t - k) / ((k + 1.0) * (n - 1.0)),
+        min(t, int(t / n + _TAIL_Z * sd + _CF_SKEW * (1.0 - 2.0 / n))),
+        lambda ys: np.log(ys * (n - 1.0) / (t - ys + 1.0)))
 
 
 def pmf_gamma_predictive(n: int, t: int, kappa: float, beta: float) -> EstimatedPmf:
@@ -240,10 +236,7 @@ def pmf_gamma_predictive(n: int, t: int, kappa: float, beta: float) -> Estimated
     probability (beta + n)/(beta + n + 1).  Its ratio m(y+1)/m(y) =
     (r + y)/((y + 1)(beta + n + 1)) falls with y when r >= 1 and stays
     below 1/(beta + n + 1) when r < 1, so ``_support_end`` ends the
-    support on q_y = max((r + y)/(y + 1), 1)/(beta + n + 1).  Log ratios
-    summed back from hi stay small over the mode; the masses are then
-    normalized over 0..hi, since ln m(hi) from lgamma differences near
-    1e6 carries up to 1e-9 of rounding and the dropped tail TAIL_MASS.
+    support on q_y = max((r + y)/(y + 1), 1)/(beta + n + 1).
     """
     if n < 1:
         raise DomainError(f"pmf_gamma_predictive requires n >= 1, got {n}")
@@ -258,16 +251,12 @@ def pmf_gamma_predictive(n: int, t: int, kappa: float, beta: float) -> Estimated
     log_succ = math.log(beta + n) + log_fail      # ln (beta+n)/(beta+n+1)
     sd = math.sqrt(r * (beta + n + 1.0)) / (beta + n)
 
-    def log_mass_at(k):
-        return (math.lgamma(r + k) - math.lgamma(r) - math.lgamma(k + 1.0)
-                + r * log_succ + k * log_fail)
-
-    hi = _support_end(log_mass_at, lambda k: max((r + k) / (k + 1.0), 1.0) / (beta + n + 1.0),
-                      int(mean + _TAIL_Z * sd + _CF_SKEW * (1.0 + 2.0 / (beta + n))))
-    ys = np.arange(hi, 0, -1, dtype=np.float64)
-    steps = np.log((r + ys - 1.0) / ys) + log_fail    # ln m(y)/m(y-1), y = hi..1
-    rel = -np.concatenate(([0.0], np.cumsum(steps)))[::-1]   # ln m(y)/m(hi), y = 0..hi
-    return EstimatedPmf(rel - math.log(np.exp(rel).sum()), hi)
+    return _pmf_from_ratios(
+        lambda k: (math.lgamma(r + k) - math.lgamma(r) - math.lgamma(k + 1.0)
+                   + r * log_succ + k * log_fail),
+        lambda k: max((r + k) / (k + 1.0), 1.0) / (beta + n + 1.0),
+        int(mean + _TAIL_Z * sd + _CF_SKEW * (1.0 + 2.0 / (beta + n))),
+        lambda ys: np.log(ys / (r + (ys - 1.0))) - log_fail)
 
 
 def hyper_from_mean_sd(mean: float, sd: float) -> tuple[float, float]:

@@ -98,6 +98,10 @@ _REGRESSION_VARIANTS = ("smallest-plugin", "normal", "sqrt")
 # discarded and redrawn, with the count reported.
 _MAX_ETA = 42.0
 
+# Consecutive redraws (overflow or failed fit) that end a run; the built-in
+# cases, down to n = order + 5, reach 10.
+_MAX_REDRAWS = 1000
+
 _CHUNK = 250
 
 
@@ -220,37 +224,58 @@ def _rep_rngs(seed: int, start: int, stop: int):
 
 
 def _resolve_regression(config: SimConfig):
+    """(poly order, theta, covariate law) of a regression config, checked."""
     if config.case is not None:
         if config.case not in REGRESSION_CASES:
             raise DomainError(f"unknown simulation case {config.case}")
-        return REGRESSION_CASES[config.case]
-    if config.poly_order is None or config.theta is None or config.w_dist is None:
+        p, theta, w_dist = REGRESSION_CASES[config.case]
+    elif config.poly_order is None or config.theta is None or config.w_dist is None:
         raise DomainError("regression scenario needs case or poly_order/theta/w_dist")
-    return config.poly_order, tuple(config.theta), tuple(config.w_dist)
+    else:
+        p, theta, w_dist = config.poly_order, tuple(config.theta), tuple(config.w_dist)
+    _check_law(p, theta, w_dist, config.n)
+    return p, theta, w_dist
 
 
-def _draw_w(w_dist, size: int, rng: np.random.Generator) -> np.ndarray:
-    kind = w_dist[0]
-    if kind == "uniform":
-        lo, hi = float(w_dist[1]), float(w_dist[2])
-        return lo + (hi - lo) * rng.random(size)
-    if kind == "normal":
-        mu, sd = float(w_dist[1]), float(w_dist[2])
-        return mu + sd * rng.standard_normal(size)
-    raise DomainError(f"unknown covariate law {kind!r}")
+def _check_law(p, theta, w_dist, n) -> None:
+    """DomainError up front for a regression law that no draw of n
+    observations could be fitted under."""
+    if p < 0 or len(theta) != p + 1:
+        raise DomainError(f"poly_order {p} needs to be >= 0 and theta to hold "
+                          f"poly_order + 1 coefficients, got {len(theta)}")
+    if len(w_dist) != 3 or w_dist[0] not in ("uniform", "normal"):
+        raise DomainError(f"unknown covariate law {w_dist!r}")
+    a, b = float(w_dist[1]), float(w_dist[2])
+    if not (np.isfinite([*theta, a, b]).all()
+            and (a < b if w_dist[0] == "uniform" else b > 0.0)):
+        raise DomainError(f"covariate law {w_dist!r} or theta {theta!r} is not "
+                          "finite with uniform lo < hi and normal sd > 0")
+    if n < p + 1:
+        raise DomainError(f"n = {n} observations cannot fit the {p + 1} "
+                          f"coefficients of order {p}")
 
 
-def _draw_regression_instance(p, theta, w_dist, n, rng):
+def _redraw(redraws: int, cause) -> int:
+    """redraws + 1, or past _MAX_REDRAWS a NonConvergenceError naming ``cause``."""
+    if redraws >= _MAX_REDRAWS:
+        raise NonConvergenceError(f"a replication failed on its draw and {_MAX_REDRAWS} "
+                                  f"redraws in a row, the last because {cause}")
+    return redraws + 1
+
+
+def _draw_regression_instance(p, theta, w_dist, n, rng, redraws=0):
     """Rows (1, w, ..., w^p) of n covariates and the holdout's, the n
-    responses, the holdout count and the redraws made on overflow."""
+    responses, the holdout count, and ``redraws`` plus the redraws made
+    on overflow, counted by _redraw."""
     theta = np.asarray(theta, dtype=np.float64)
-    redraws = 0
+    a, b = float(w_dist[1]), float(w_dist[2])
     while True:
-        w = _draw_w(w_dist, n + 1, rng)
+        w = (a + (b - a) * rng.random(n + 1) if w_dist[0] == "uniform"
+             else a + b * rng.standard_normal(n + 1))
         powers = np.vander(w, p + 1, increasing=True)
         eta = powers @ theta
         if float(np.max(eta)) > _MAX_ETA:
-            redraws += 1
+            redraws = _redraw(redraws, f"a linear predictor exceeded {_MAX_ETA:g}")
             continue
         rates = np.exp(eta)
         y = rng.poisson(rates[:n]).astype(np.int64)
@@ -264,6 +289,7 @@ def gen_poisson_regression_data(p, theta, w_dist, n, seed):
     Returns ((y, X_raw), (y0, x0_raw)); X_raw holds the unstandardized
     polynomial covariate rows.
     """
+    _check_law(p, theta, w_dist, n)
     rng = np.random.default_rng(seed)
     powers, y, y0, _ = _draw_regression_instance(p, theta, w_dist, n, rng)
     return (y, powers[:n]), (y0, powers[n])
@@ -374,17 +400,18 @@ def _regression_chunk(args):
     y0 = np.empty(m, dtype=np.int64)
     redraws = 0
     for j, rng in enumerate(_rep_rngs(seed, start, stop)):
+        rd = 0
         while True:
-            powers, y, y0[j], rd = _draw_regression_instance(p, theta, w_dist, n, rng)
-            redraws += rd
+            powers, y, y0[j], rd = _draw_regression_instance(p, theta, w_dist, n, rng, rd)
             u[j] = rng.random()
             try:
                 lam0, vhat = rate_and_variance(fit(powers[:n], y), powers[n])
                 regs = [_variant_region(lam0, vhat, alpha, v) for v in _REGRESSION_VARIANTS]
-            except (SingularityError, NonConvergenceError, DivergenceError):
-                redraws += 1
+            except (SingularityError, NonConvergenceError, DivergenceError) as exc:
+                rd = _redraw(rd, f"the fit failed: {exc}")
                 continue
             break
+        redraws += rd
         for i, r in enumerate(regs):
             bounds[j, i] = _region_bounds(r)
             gamma[j, i] = r.boundary_prob

@@ -4,15 +4,14 @@ Everything here works in log space until the final exponentiation, so
 Poisson masses stay finite for rates up to 1e6 and counts up to 1e7.
 The normal and chi-square functions are self-contained (erfc and lgamma
 come from the C library via :mod:`math`; the incomplete-gamma split and
-the quantile refinement are implemented here).  No cdf here finds a
-support end: ``regions`` truncates each pmf on an analytic tail bound.
+the quantile refinement are implemented here).  No pmf array is built
+here: ``regions`` sums log mass ratios back from a support end that it
+finds on an analytic tail bound.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .errors import DomainError, NonConvergenceError
 
@@ -56,25 +55,6 @@ def poisson_log_pmf(k: int, lam: float) -> float:
 def poisson_pmf(k: int, lam: float) -> float:
     """Poisson mass at ``k`` for rate ``lam``."""
     return math.exp(poisson_log_pmf(k, lam))
-
-
-def poisson_log_pmf_vector(hi: int, lam: float) -> np.ndarray:
-    """Log Poisson masses at 0..hi as one array.
-
-    Uses a cumulative sum of logs for the factorial term, which keeps
-    adjacent-mass differences exact enough for tie detection (error is
-    O(hi * eps), far below the 1e-12 relative tie tolerance for the
-    support sizes this package enumerates).
-    """
-    if lam <= 0:
-        raise DomainError(f"poisson_log_pmf_vector requires lam > 0, got {lam}")
-    if hi < 0:
-        raise DomainError("poisson_log_pmf_vector requires hi >= 0")
-    ks = np.arange(hi + 1, dtype=np.float64)
-    lgam = np.zeros(hi + 1)
-    if hi >= 1:
-        lgam[1:] = np.cumsum(np.log(ks[1:]))
-    return -lam + ks * math.log(lam) - lgam
 
 
 def poisson_cdf(w: float, lam: float) -> float:

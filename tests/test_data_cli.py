@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from dataclasses import replace
 from datetime import date
 from pathlib import Path
@@ -657,6 +659,11 @@ MALFORMED = [
     ("simulate", "--theta", "1,abc"), ("simulate", "--theta", "1,,2"),
     ("simulate", "--w-dist", "normal,0,x"), ("simulate", "--w-dist", "uniform,a,1"),
     ("simulate", "--theta", "1,inf"), ("simulate", "--w-dist", "normal,0,nan"),
+    # regression configs no draw could fit, refused before drawing
+    ("simulate", "--order", "-1"), ("simulate", "--order", "2"),
+    ("simulate", "--theta", "1,2,3"), ("simulate", "--n", "1"),
+    ("simulate", "--w-dist", "uniform,1,1"), ("simulate", "--w-dist", "uniform,2,1"),
+    ("simulate", "--w-dist", "normal,0,0"), ("simulate", "--w-dist", "normal,0,-1"),
     # a step that no longer changes the value: 1e17 + 0.001 == 1e17
     ("exact-props", "--lambda-grid", "1e17:100000000000000016:0.001"),
     # longer than the list cap, rejected before a value is kept
@@ -680,6 +687,29 @@ def test_malformed_list_values_exit_with_one_usage_line(series_csv, capsys,
     assert code == 1
     assert out == ""
     assert err.startswith("error: usage:") and err.count("\n") == 1
+
+
+def test_simulate_case_with_fewer_observations_than_coefficients(capsys):
+    code, out, err = run_captured(["simulate", "--scenario", "regression", "--case", "4",
+                                   "--n", "5", "--reps", "3"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: usage:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("law", [
+    ["--order", "1", "--theta", "50,0", "--w-dist", "uniform"],      # every draw overflows
+    ["--order", "0", "--theta", "-40", "--w-dist", "uniform"],       # all counts zero
+    ["--order", "1", "--theta", "1,0.5", "--w-dist", "normal,0,1e-300"],  # singular
+], ids=["overflow", "zero-counts", "singular"])
+def test_simulate_config_no_draw_can_fit_ends_in_a_numerical_error(law):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "countpred", "simulate",
+                           "--scenario", "regression", "--n", "10", "--reps", "3", *law],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith("error: numerical:") and proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("variant, u", [("normal", "0"), ("sqrt", "0.3"),

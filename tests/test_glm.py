@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
-from countpred import glm, regions
+from countpred import glm
 from countpred import (
     DesignError,
     DesignSpec,
@@ -326,15 +326,24 @@ def test_count_log_factorials_equal_lgamma():
                               np.array([math.lgamma(v + 1.0) for v in y]))
 
 
-def test_fit_keeps_the_factorial_table_within_the_cap(monkeypatch):
-    cap = glm._LOG_FACTORIAL_CAP
-    monkeypatch.setattr(regions, "_LOG_FACTORIALS", np.empty(0))
-    w = np.linspace(0.0, 1.0, 20)
-    X = np.column_stack([np.ones(20), w])
-    fit(X, rng.poisson(np.exp(13.0 + w)))          # counts near 5e5
-    assert regions._LOG_FACTORIALS.size <= cap
-    fit(X, rng.poisson(np.exp(1.0 + w)))
-    assert 0 < regions._LOG_FACTORIALS.size <= cap
+def test_weekday_labels_by_index_and_by_name_in_any_case():
+    spec = DesignSpec(poly_order=0, include_day_factor=True)
+    w = np.zeros(7)
+    by_index, _ = build_design(w, list(range(7)), spec)
+    by_index_np, _ = build_design(w, list(np.arange(7)), spec)
+    names = [" monday", "TUESDAY ", "Wednesday", "thursday", "\tFriDay\n",
+             "saturday", "Sunday"]
+    by_name, _ = build_design(w, names, spec)
+    assert np.array_equal(by_index, by_name) and np.array_equal(by_index, by_index_np)
+    assert np.array_equal(by_index[:, 1:], np.eye(7)[:, 1:])
+    with pytest.raises(DesignError, match=r"^weekday index out of range 0\.\.6: 7$"):
+        build_design(w, [0, 1, 2, 3, 4, 5, 7], spec)
+    with pytest.raises(DesignError, match=r"^weekday index out of range 0\.\.6: -1$"):
+        build_design(w, [-1, 1, 2, 3, 4, 5, 6], spec)
+    with pytest.raises(DesignError, match=r"^invalid weekday label: 'Mon'$"):
+        build_design(w, ["Mon"] + names[1:], spec)
+    with pytest.raises(DesignError, match=r"^invalid weekday label: 1\.0$"):
+        build_design(w, [1.0] + names[1:], spec)
 
 
 def test_intercept_variance_factor():

@@ -34,13 +34,7 @@ from countpred import (
     region_sqrt_known,
 )
 from countpred.cli import _parse_values, cli_dispatch
-from countpred.special import (
-    TAIL_MASS,
-    normal_quantile,
-    poisson_cdf,
-    poisson_log_pmf,
-    poisson_log_pmf_vector,
-)
+from countpred.special import TAIL_MASS, normal_quantile, poisson_cdf, poisson_log_pmf
 
 Z975 = 1.959963984540054
 
@@ -253,31 +247,31 @@ CUT_RATES = (list(np.logspace(-9.0, 6.0, 46))
              + [float(np.nextafter(glm._ENUM_LIMIT, 0.0)), glm._ENUM_LIMIT - 1.0])
 
 
-# 10**(16/3): pmf_poisson's masses there sum to 1 - 1.6e-9, since its
-# cumulative sum of log factorials drifts, so at alpha = 1e-9 neither
-# build reaches 1 - alpha and each keeps its whole support.
-DRIFTED_RATE = CUT_RATES[43]
-
-
-def equals_wide_support_build(lam, alpha):
-    # The wide support runs 20 sd past the rate, far beyond any mass the
-    # truncation drops.
+def wide_support_pmf(lam):
+    """The Poisson pmf by the same recurrence, ln m(y)/m(y-1) = ln(lam/y)
+    summed back, out to 20 sd past the rate, far beyond any mass the
+    truncation drops.  The largest log mass is subtracted before exp, since
+    there m(0)/m(hi) can pass the float range."""
     hi = int(lam + 20.0 * math.sqrt(lam)) + 40
-    wide = regions.EstimatedPmf(poisson_log_pmf_vector(hi, lam), hi)
-    return regions.build_smallest(pmf_poisson(lam), alpha) == regions.build_smallest(wide, alpha)
+    rel = np.zeros(hi + 1)
+    rel[:hi] = -np.cumsum(np.log(lam / np.arange(hi, 0, -1.0)))[::-1]
+    rel -= rel.max()
+    return regions.EstimatedPmf(rel - math.log(np.exp(rel).sum()), hi)
 
 
 @pytest.mark.parametrize("alpha", [1e-9, 1e-4, 0.01, 0.05, 0.5])
 def test_known_rate_smallest_region_equals_full_support_build(alpha):
     # Integer rates give tied modes p(k - 1) = p(k).
     for lam in CUT_RATES:
-        if (lam, alpha) != (DRIFTED_RATE, 1e-9):
-            assert equals_wide_support_build(lam, alpha), lam
-
-
-@pytest.mark.xfail(strict=True, reason="pmf_poisson's masses sum to 1 - 1.6e-9 at this rate")
-def test_known_rate_smallest_region_at_a_rate_whose_masses_drift():
-    assert equals_wide_support_build(DRIFTED_RATE, 1e-9)
+        cut = regions.build_smallest(pmf_poisson(lam), alpha)
+        wide = regions.build_smallest(wide_support_pmf(lam), alpha)
+        assert (cut.core_lo, cut.core_hi, cut.boundary, cut.core_set) == \
+            (wide.core_lo, wide.core_hi, wide.boundary, wide.core_set), lam
+        truth = st.poisson(lam)
+        core_mass = (float(truth.pmf(cut.core_set).sum()) if cut.core_set is not None
+                     else float(truth.cdf(cut.core_hi) - truth.cdf(cut.core_lo - 1)))
+        coverage = core_mass + cut.boundary_prob * float(truth.pmf(cut.boundary).sum())
+        assert coverage == pytest.approx(1.0 - alpha, abs=1e-11), lam
 
 
 def test_support_end_walk_finds_the_first_bound_from_any_start():
@@ -346,27 +340,30 @@ def test_umvue_is_binomial():
     for n, t in [(3, 11), (7, 2), (25, 100)]:
         pmf = pmf_umvue(n, t)
         np.testing.assert_allclose(np.exp(pmf.log_mass),
-                                   st.binom(t, 1.0 / n).pmf(np.arange(t + 1)),
+                                   st.binom(t, 1.0 / n).pmf(np.arange(pmf.support_hi + 1)),
                                    rtol=1e-9, atol=1e-15)
 
 
-def umvue_log_mass_direct(n, t):
-    ks = np.arange(t + 1, dtype=np.float64)
-    lchoose = (math.lgamma(t + 1)
-               - np.array([math.lgamma(k + 1) for k in range(t + 1)])
-               - np.array([math.lgamma(t - k + 1) for k in range(t + 1)]))
-    return lchoose + ks * math.log(1.0 / n) + (t - ks) * math.log1p(-1.0 / n)
+@pytest.mark.parametrize("n, t", [(2, 1), (3, 7), (7, 64), (25, 100), (100, 999),
+                                  (100, 10_437), (2, 10**6 - 2)])
+def test_umvue_support_ends_at_its_first_bound(n, t):
+    ref = st.binom(t, 1.0 / n)
 
+    def tail_bound(k):
+        # q = (t - k)/((k + 1)(n - 1)) = m(k+1)/m(k) falls with k, so it
+        # bounds every later ratio; it counts only if q < 1
+        q = (t - k) / ((k + 1.0) * (n - 1.0))
+        return ref.pmf(k) * q / (1.0 - q) if q < 1.0 else math.inf
 
-def test_umvue_log_mass_independent_of_table_growth(monkeypatch):
-    grid = [(2, 1), (3, 7), (7, 64), (25, 100), (100, 999), (100, 10_437)]
-    for order in (grid[::-1] + grid, grid):
-        # Start from an empty table: large-first grows it once, small-first
-        # grows it step by step; either way no value may change.
-        monkeypatch.setattr(regions, "_LOG_FACTORIALS", np.empty(0))
-        for n, t in order:
-            assert np.array_equal(pmf_umvue(n, t).log_mass,
-                                  umvue_log_mass_direct(n, t)), (n, t)
+    pmf = pmf_umvue(n, t)
+    hi = pmf.support_hi
+    assert pmf.log_mass.size == hi + 1 and pmf.log_mass.base is None
+    assert hi <= t
+    assert tail_bound(hi) <= TAIL_MASS * (1.0 + 1e-6)
+    assert hi == 0 or tail_bound(hi - 1) > TAIL_MASS * (1.0 - 1e-6)
+    assert ref.sf(hi) <= TAIL_MASS
+    np.testing.assert_allclose(np.exp(pmf.log_mass), ref.pmf(np.arange(hi + 1)),
+                               rtol=1e-9, atol=1e-15)
 
 
 def test_umvue_unbiasedness_brute_force():
@@ -414,6 +411,11 @@ def test_gamma_predictive_normalization_and_limits():
     big = pmf_gamma_predictive(10**5, 5 * 10**5, 0.25, 0.005)
     for k in range(15):
         assert big.mass(k) == pytest.approx(float(st.poisson(5.0).pmf(k)), abs=1e-6)
+    # r = kappa + t below the float spacing of 1: m(1)/m(0) = r/(beta + n + 1)
+    # must not round to 0, which made every mass NaN
+    tiny = pmf_gamma_predictive(1, 0, 1e-300, 1.0)
+    assert tiny.mass(0) == pytest.approx(1.0, rel=1e-15)
+    assert tiny.mass(1) == pytest.approx(1e-300 / 3.0, rel=1e-12)
 
 
 def reference_upper_support(lam, tail_mass):
@@ -469,8 +471,8 @@ def test_poisson_support_ends_at_its_first_bound():
         if pmf.support_hi == 0 or poisson_cdf(pmf.support_hi - 1, lam) < target:
             continue
         cut = reference_upper_support(lam, TAIL_MASS)
-        short = poisson_log_pmf_vector(cut, lam)
-        assert cut < pmf.support_hi and np.array_equal(short, pmf.log_mass[:cut + 1])
+        assert cut < pmf.support_hi
+        short = pmf.log_mass[:cut + 1]
         if lam <= 1e5:
             # The pmf on the cut gives the same regions.
             for alpha in (0.01, 0.05, 0.1):

@@ -17,7 +17,6 @@ from countpred.special import (
     normal_quantile,
     poisson_cdf,
     poisson_log_pmf,
-    poisson_log_pmf_vector,
     poisson_pmf,
     reg_upper_gamma,
 )
@@ -54,13 +53,6 @@ def test_poisson_pmf_values():
 def test_poisson_pmf_normalization():
     total = sum(poisson_pmf(k, 30.0) for k in range(201))
     assert total == pytest.approx(1.0, abs=1e-12)
-
-
-def test_poisson_log_pmf_vector_consistent():
-    vec = poisson_log_pmf_vector(40, 7.5)
-    assert vec.shape == (41,)
-    for k in (0, 1, 17, 40):
-        assert vec[k] == pytest.approx(poisson_log_pmf(k, 7.5), rel=1e-12)
 
 
 def test_poisson_cdf_against_scipy():
