@@ -19,6 +19,7 @@ from .regions import (
     EstimatedPmf,
     PredictionRegion,
     exact_region_properties,
+    exact_region_properties_batch,
     hyper_from_mean_sd,
     marginal_log_likelihood,
     mom_gamma,

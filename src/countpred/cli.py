@@ -65,7 +65,7 @@ from .glm import (
 from .overdispersion import estimate_xi, fit_overdispersed, region_overdispersed
 from .regions import (
     _check_alpha,
-    exact_region_properties,
+    exact_region_properties_batch,
     pmf_poisson,
     realize,
     region_nonrandomized,
@@ -403,19 +403,27 @@ def _cmd_simulate(args) -> int:
 # ---------------------------------------------------------- exact-props
 
 
+# Rates whose regions share one poisson_cdf call: a command of up to this
+# many rates makes one call, and a longer grid keeps its arrays this size.
+_EXACT_BATCH = 1000
+
+
 def _cmd_exact_props(args) -> int:
     lines = [_meta_csv_line(args),
              "lambda,Gam0R_coverage,Gam0R_length,Gam0N_coverage,Gam0N_length,"
              "Gam1_coverage,Gam1_length,Gam2_coverage,Gam2_length"]
-    for lam in _parse_values(args.lambda_grid, float):
-        randomized = region_smallest(pmf_poisson(lam), args.alpha, 0.0)
-        cells = []
-        for region in (randomized, region_nonrandomized(randomized),
-                       region_normal_known(lam, args.alpha),
-                       region_sqrt_known(lam, args.alpha)):
-            cov, length = exact_region_properties(region, lam)
-            cells += [repr(cov), repr(length)]
-        lines.append(",".join([repr(lam)] + cells))
+    lams = _parse_values(args.lambda_grid, float)
+    for start in range(0, len(lams), _EXACT_BATCH):
+        batch = lams[start:start + _EXACT_BATCH]
+        regions = []
+        for lam in batch:
+            randomized = region_smallest(pmf_poisson(lam), args.alpha, 0.0)
+            regions += (randomized, region_nonrandomized(randomized),
+                        region_normal_known(lam, args.alpha), region_sqrt_known(lam, args.alpha))
+        props = exact_region_properties_batch(regions, [lam for lam in batch for _ in range(4)])
+        for row, lam in enumerate(batch):
+            cells = [repr(v) for cov_len in props[4 * row:4 * row + 4] for v in cov_len]
+            lines.append(",".join([repr(lam)] + cells))
     _emit("\n".join(lines), args.out)
     return 0
 

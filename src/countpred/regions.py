@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,6 +44,7 @@ __all__ = [
     "region_adjusted_normal",
     "region_adjusted_sqrt",
     "exact_region_properties",
+    "exact_region_properties_batch",
     "hyper_from_mean_sd",
     "marginal_log_likelihood",
     "mom_gamma",
@@ -236,7 +238,8 @@ def pmf_gamma_predictive(n: int, t: int, kappa: float, beta: float) -> Estimated
     probability (beta + n)/(beta + n + 1).  Its ratio m(y+1)/m(y) =
     (r + y)/((y + 1)(beta + n + 1)) falls with y when r >= 1 and stays
     below 1/(beta + n + 1) when r < 1, so ``_support_end`` ends the
-    support on q_y = max((r + y)/(y + 1), 1)/(beta + n + 1).
+    support on q_y = max((r + y)/(y + 1), 1)/(beta + n + 1).  A subnormal
+    r is refused: the mass ratios to m(0) then pass the float range.
     """
     if n < 1:
         raise DomainError(f"pmf_gamma_predictive requires n >= 1, got {n}")
@@ -245,6 +248,9 @@ def pmf_gamma_predictive(n: int, t: int, kappa: float, beta: float) -> Estimated
     if kappa <= 0 or beta <= 0:
         raise DomainError("pmf_gamma_predictive requires kappa > 0 and beta > 0")
     r = kappa + t
+    if r < sys.float_info.min:
+        raise DomainError(f"pmf_gamma_predictive requires kappa + t of at least the "
+                          f"smallest normal float, got {r!r}")
     mean = r / (beta + n)
     _check_enumerable(mean, "pmf_gamma_predictive mean")
     log_fail = -math.log(beta + n + 1.0)          # ln 1/(beta+n+1)
@@ -501,16 +507,6 @@ def region_adjusted_sqrt(n: int, t: int, alpha: float) -> PredictionRegion:
     return _sqrt_interval(t / n, 1.0 + 1.0 / n, alpha)
 
 
-@functools.lru_cache(maxsize=16, typed=True)
-def _cdf(m: int, lam: float) -> float:
-    """poisson_cdf(m, lam), kept for the region bounds of the last few rates.
-
-    The known-rate regions of one rate share bounds, so exact-props asks
-    for each (m, lam) about twice.
-    """
-    return poisson_cdf(m, lam)
-
-
 def exact_region_properties(region: PredictionRegion, lam: float) -> tuple[float, float]:
     """Exact coverage and expected length under a Poisson(lam) truth.
 
@@ -518,22 +514,36 @@ def exact_region_properties(region: PredictionRegion, lam: float) -> tuple[float
     inclusion probability.  Expected length mixes the widths of the two
     possible realizations (with and without the boundary) the same way.
     """
-    if lam <= 0:
-        raise DomainError(f"exact_region_properties requires lam > 0, got {lam}")
-    if region.core_set is not None:
-        core_mass = sum(math.exp(poisson_log_pmf(k, lam)) for k in region.core_set)
-    elif region.core_hi >= region.core_lo:
-        core_mass = _cdf(region.core_hi, lam) - _cdf(region.core_lo - 1, lam)
-    else:
-        core_mass = 0.0
-    bound_mass = sum(math.exp(poisson_log_pmf(k, lam)) for k in region.boundary)
-    gamma = region.boundary_prob
-    coverage = core_mass + gamma * bound_mass
-    core_len = float(max(0, region.core_hi - region.core_lo))
-    if region.boundary:
-        lo, hi = _folded_bounds(region)
-        incl_len = float(max(0, hi - lo))
-    else:
-        incl_len = core_len
-    expected_length = gamma * incl_len + (1.0 - gamma) * core_len
-    return coverage, expected_length
+    return exact_region_properties_batch([region], [lam])[0]
+
+
+def exact_region_properties_batch(regions, lams) -> list[tuple[float, float]]:
+    """``exact_region_properties`` of each region under its rate, with the
+    cdfs at every contiguous core's bounds taken in one ``poisson_cdf`` call."""
+    if any(lam <= 0 for lam in lams):
+        raise DomainError(f"exact_region_properties requires lam > 0, got {min(lams)}")
+    cored = [(r, lam) for r, lam in zip(regions, lams)
+             if r.core_set is None and r.core_hi >= r.core_lo]
+    cdf = poisson_cdf([r.core_hi for r, _ in cored] + [r.core_lo - 1 for r, _ in cored],
+                      [lam for _, lam in cored] * 2).tolist()
+    hi_cdf = iter(cdf[:len(cored)])
+    lo_cdf = iter(cdf[len(cored):])
+    out = []
+    for region, lam in zip(regions, lams):
+        if region.core_set is not None:
+            core_mass = sum(math.exp(poisson_log_pmf(k, lam)) for k in region.core_set)
+        elif region.core_hi >= region.core_lo:
+            core_mass = next(hi_cdf) - next(lo_cdf)
+        else:
+            core_mass = 0.0
+        bound_mass = sum(math.exp(poisson_log_pmf(k, lam)) for k in region.boundary)
+        gamma = region.boundary_prob
+        coverage = core_mass + gamma * bound_mass
+        core_len = float(max(0, region.core_hi - region.core_lo))
+        if region.boundary:
+            lo, hi = _folded_bounds(region)
+            incl_len = float(max(0, hi - lo))
+        else:
+            incl_len = core_len
+        out.append((coverage, gamma * incl_len + (1.0 - gamma) * core_len))
+    return out

@@ -7,7 +7,7 @@ import pytest
 import scipy.stats as st
 from hypothesis import example, given, settings, strategies as hs
 
-from countpred import glm, regions
+from countpred import cli, glm, regions
 from countpred import (
     DomainError,
     MomentFailure,
@@ -170,8 +170,7 @@ def direct_coverage(region, lam):
     return core + region.boundary_prob * bound
 
 
-def test_exact_properties_memo_equals_direct_formula():
-    regions._cdf.cache_clear()
+def test_exact_properties_batch_equals_direct_formula():
     gapped = PredictionRegion(core_lo=1, core_hi=6, boundary=(0, 7), boundary_prob=0.25,
                               realized_lo=1, realized_hi=6, level=0.9, length=5.0,
                               core_set=(1, 2, 6))
@@ -180,13 +179,15 @@ def test_exact_properties_memo_equals_direct_formula():
     pool = [gapped, empty]
     for lam in (0.05, 0.3, 0.9, 4.0, 17.5, 250.0):
         pool += exact_props_regions(lam, 0.05) + exact_props_regions(lam, 0.01)
-    # Rates interleaved, every region at every rate: far more (m, lam) keys
-    # than the memo holds, and each rate comes back after its eviction.
-    for step in (1, -1):
-        for lam in (0.3, 17.5, 0.05, 250.0, 0.3, 4.0, 0.9, 17.5, 0.3):
-            for region in pool[::step]:
-                assert exact_region_properties(region, lam)[0] == \
-                    direct_coverage(region, lam), (region, lam)
+    # every region at every rate, rates interleaved, in one batch and one by one
+    lams = (0.3, 17.5, 0.05, 250.0, 0.3, 4.0, 0.9, 17.5, 0.3)
+    pairs = [(region, lam) for step in (1, -1) for lam in lams for region in pool[::step]]
+    batch = regions.exact_region_properties_batch([r for r, _ in pairs],
+                                                  [lam for _, lam in pairs])
+    for (region, lam), props in zip(pairs, batch):
+        assert props[0] == direct_coverage(region, lam), (region, lam)
+        assert exact_region_properties(region, lam) == props, (region, lam)
+    assert regions.exact_region_properties_batch([], []) == []
 
 
 def exact_props_rows(grids, capsys):
@@ -207,20 +208,26 @@ def test_exact_props_rows_independent_of_grid_order(capsys):
     assert exact_props_rows(lams, capsys) == forward
 
 
-def test_exact_props_computes_each_region_bound_cdf_once(monkeypatch, capsys):
+def test_exact_props_rows_independent_of_batch_size(monkeypatch, capsys):
+    whole = exact_props_rows(["0.05:5:0.05"], capsys)
+    monkeypatch.setattr(cli, "_EXACT_BATCH", 7)
+    assert exact_props_rows(["0.05:5:0.05"], capsys) == whole
+
+
+def test_exact_props_takes_every_region_bound_cdf_in_one_call(monkeypatch, capsys):
     calls = []
     monkeypatch.setattr(regions, "poisson_cdf",
                         lambda m, lam: calls.append((m, lam)) or poisson_cdf(m, lam))
-    regions._cdf.cache_clear()
     assert cli_dispatch(["exact-props", "--alpha", "0.05",
                          "--lambda-grid", "0.05:5:0.05"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 2 + 100
     bounds = [(m, lam) for lam in _parse_values("0.05:5:0.05", float)
               for r in exact_props_regions(lam, 0.05) if r.core_hi >= r.core_lo
               for m in (r.core_hi, r.core_lo - 1)]
-    # one poisson_cdf per distinct bound: 427 of the 798 lookups
-    assert sorted(calls) == sorted(set(bounds))
-    assert len(calls) < 0.6 * len(bounds)
+    # one array call for the command, one element per bound
+    assert len(calls) == 1
+    ms, lams = calls[0]
+    assert sorted(zip(ms, lams)) == sorted(bounds)
 
 
 def test_exact_props_randomized_coverage_at_a_large_rate(capsys):
@@ -418,6 +425,19 @@ def test_gamma_predictive_normalization_and_limits():
     assert tiny.mass(1) == pytest.approx(1e-300 / 3.0, rel=1e-12)
 
 
+def test_gamma_predictive_refuses_a_subnormal_shape():
+    # near the smallest normal float the masses still hold
+    small = pmf_gamma_predictive(1, 0, 1e-307, 1.0)
+    assert np.isfinite(small.log_mass).all()
+    assert small.mass(0) == pytest.approx(1.0, rel=1e-15)
+    assert small.mass(1) == pytest.approx(1e-307 / 3.0, rel=1e-12)
+    assert regions.build_smallest(small, 0.05).boundary == (0,)
+    # below it the first back ratio overflowed and every mass was NaN
+    for kappa in (1e-310, 5e-324):
+        with pytest.raises(DomainError):
+            pmf_gamma_predictive(1, 0, kappa, 1.0)
+
+
 def reference_upper_support(lam, tail_mass):
     """Bisection over 0..hi from a fixed wide start, one cdf per step."""
     target = 1.0 - tail_mass
@@ -466,9 +486,9 @@ def test_poisson_support_ends_at_its_first_bound():
     # where the cdf at support_hi is at least 1 - TAIL_MASS, and the cut
     # lies below support_hi only where the cdf at support_hi - 1 is too.
     target = 1.0 - TAIL_MASS
-    assert all(poisson_cdf(hi, lam) >= target for lam, hi in zip(SUPPORT_RATES, his))
-    for lam, pmf in zip(SUPPORT_RATES, pmfs):
-        if pmf.support_hi == 0 or poisson_cdf(pmf.support_hi - 1, lam) < target:
+    assert (poisson_cdf(his, lams) >= target).all()
+    for lam, pmf, below in zip(SUPPORT_RATES, pmfs, poisson_cdf(his - 1, lams)):
+        if pmf.support_hi == 0 or below < target:
             continue
         cut = reference_upper_support(lam, TAIL_MASS)
         assert cut < pmf.support_hi

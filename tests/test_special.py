@@ -2,42 +2,55 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sp
 import scipy.stats as st
 from hypothesis import given, strategies as hs
 
-from countpred import NonConvergenceError, special
+from countpred import DomainError, NonConvergenceError, special
+from countpred.regions import (
+    pmf_poisson,
+    region_nonrandomized,
+    region_normal_known,
+    region_smallest,
+    region_sqrt_known,
+)
 from countpred.special import (
     chisq_sf,
-    lgamma,
     normal_cdf,
     normal_pdf,
     normal_quantile,
     poisson_cdf,
     poisson_log_pmf,
-    poisson_pmf,
     reg_upper_gamma,
 )
 
 LAMBDAS = (0.1, 0.5, 1.0, 2.5, 5.0, 17.0, 100.0, 1234.5)
 
 
+# The package takes ln Gamma from math.lgamma; these pin the accuracy it relies on.
 def test_lgamma_matches_scipy():
     xs = np.concatenate([np.linspace(0.05, 20, 81), [50.0, 171.5, 1000.0]])
     for x in xs:
-        assert lgamma(float(x)) == pytest.approx(float(sp.gammaln(x)), rel=1e-12, abs=1e-12)
+        assert math.lgamma(float(x)) == pytest.approx(float(sp.gammaln(x)),
+                                                      rel=1e-12, abs=1e-12)
 
 
 def test_lgamma_factorials():
-    assert lgamma(1.0) == 0.0
-    assert lgamma(6.0) == pytest.approx(math.log(120.0), rel=1e-14)
+    assert math.lgamma(1.0) == 0.0
+    assert math.lgamma(6.0) == pytest.approx(math.log(120.0), rel=1e-14)
 
 
 @given(hs.floats(min_value=0.1, max_value=300.0))
 def test_lgamma_recurrence(x):
-    assert lgamma(x + 1.0) - lgamma(x) == pytest.approx(math.log(x), rel=1e-10, abs=1e-10)
+    assert math.lgamma(x + 1.0) - math.lgamma(x) == pytest.approx(math.log(x),
+                                                                  rel=1e-10, abs=1e-10)
+
+
+def poisson_pmf(k, lam):
+    return math.exp(poisson_log_pmf(k, lam))
 
 
 def test_poisson_pmf_values():
@@ -78,6 +91,137 @@ def test_incomplete_gamma_raises_when_its_term_budget_runs_out(monkeypatch, x):
     monkeypatch.setattr(special, "_gamma_terms", lambda a: 20)
     with pytest.raises(NonConvergenceError):
         reg_upper_gamma(100.0, x)
+
+
+@pytest.mark.parametrize("w, lam", [(math.inf, 1.0), (math.nan, 1.0), (3.0, math.inf),
+                                    (3.0, math.nan), (3.0, 0.0), ([1.0, math.nan], 2.0)])
+def test_poisson_cdf_refuses_what_it_cannot_evaluate(w, lam):
+    with pytest.raises(DomainError):
+        poisson_cdf(w, lam)
+
+
+@pytest.mark.parametrize("a, x", [(0.0, 1.0), (math.inf, 1.0), (math.nan, 1.0),
+                                  (2.0, -1.0), (2.0, math.inf), (2.0, math.nan)])
+def test_reg_upper_gamma_refuses_what_it_cannot_evaluate(a, x):
+    with pytest.raises(DomainError):
+        reg_upper_gamma(a, x)
+
+
+def test_incomplete_gamma_names_the_element_whose_budget_runs_out(monkeypatch):
+    monkeypatch.setattr(special, "_gamma_terms", lambda a: np.where(a > 50.0, 20, 1000))
+    with pytest.raises(NonConvergenceError, match=r"series .* a=100\.0, x=90\.0"):
+        reg_upper_gamma([2.0, 100.0, 3.0], [1.0, 90.0, 8.0])
+    with pytest.raises(NonConvergenceError, match=r"fraction .* a=100\.0, x=110\.0"):
+        reg_upper_gamma([2.0, 3.0, 100.0], [1.0, 8.0, 110.0])
+
+
+# The incomplete-gamma loops as they ran one element at a time, before the
+# kernel took arrays: the array kernel must round exactly as these do.
+def loop_terms(a):
+    return 1000 + int(10.0 * math.sqrt(a))
+
+
+def loop_series(a, x):
+    ap = a
+    term = 1.0 / a
+    total = term
+    for _ in range(loop_terms(a)):
+        ap += 1.0
+        term *= x / ap
+        total += term
+        if abs(term) < abs(total) * 1e-16:
+            return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+    raise NonConvergenceError(f"series unconverged at a={a!r}, x={x!r}")
+
+
+def loop_fraction(a, x, tiny=1e-300):
+    b = x + 1.0 - a
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    for i in range(1, loop_terms(a)):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < tiny:
+            d = tiny
+        c = b + an / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-16:
+            return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
+    raise NonConvergenceError(f"fraction unconverged at a={a!r}, x={x!r}")
+
+
+def loop_upper_gamma(a, x, tiny=1e-300):
+    if x == 0.0:
+        return 1.0
+    q = 1.0 - loop_series(a, x) if x < a + 1.0 else loop_fraction(a, x, tiny)
+    return min(1.0, max(0.0, q))
+
+
+def exact_props_bounds(lams, alpha=0.05):
+    """(m, lam) at both bounds (core_hi and core_lo - 1) of every
+    contiguous core among the four exact-props regions of each rate."""
+    pairs = []
+    for lam in lams:
+        randomized = region_smallest(pmf_poisson(lam), alpha, 0.0)
+        for r in (randomized, region_nonrandomized(randomized),
+                  region_normal_known(lam, alpha), region_sqrt_known(lam, alpha)):
+            if r.core_hi >= r.core_lo:
+                pairs += [(r.core_hi, lam), (r.core_lo - 1, lam)]
+    return pairs
+
+
+def test_array_cdf_rounds_as_the_scalar_loops_on_exact_props_bounds():
+    # every 23rd rate of the benchmark's grid 0.05..500, and 1e5
+    lams = [k * 0.05 for k in range(1, 10001, 23)] + [1e5]
+    ms, rates = map(np.array, zip(*exact_props_bounds(lams)))
+    a = ms + 1.0
+    assert (ms < 0).any() and (rates < a + 1.0).any() and (rates >= a + 1.0).any()
+    want = [0.0 if m < 0 else loop_upper_gamma(m + 1.0, lam) for m, lam in zip(ms, rates)]
+    assert poisson_cdf(ms, rates).tolist() == want
+    # scalars, and every element alone, go through the same kernel
+    assert [poisson_cdf(m, lam) for m, lam in zip(ms[::40], rates[::40])] == want[::40]
+    assert [poisson_cdf(ms[j:j + 1], rates[j:j + 1])[0]
+            for j in range(0, ms.size, 40)] == want[::40]
+
+
+def test_array_gamma_rounds_as_the_scalar_loops():
+    a = np.array([0.5, 1.0, 2.5, 2.5, 2.5, 4.5, 10.0, 100.0, 100.0, 1e5 + 1, 2.5])
+    x = np.array([0.2, 0.0, 2.1462962962962964, 4.514285714285714, 20.0, 3.0, 25.0,
+                  90.0, 150.0, 1e5, 0.0])
+    want = [loop_upper_gamma(ai, xi) for ai, xi in zip(a.tolist(), x.tolist())]
+    assert reg_upper_gamma(a, x).tolist() == want
+    assert reg_upper_gamma(a[:, None], x[:, None]).ravel().tolist() == want
+    assert [reg_upper_gamma(ai, xi) for ai, xi in zip(a, x)] == want
+    assert reg_upper_gamma(2.5, 0.0) == 1.0
+    assert [chisq_sf(2.0 * xi, 5) for xi in x.tolist()] == \
+        [loop_upper_gamma(2.5, xi) for xi in x.tolist()]
+
+
+def test_lentz_clamps_round_as_the_scalar_loop(monkeypatch):
+    # With the floor at 20 the fraction clamps d, c or both in its first
+    # terms at most of these points, and at a = 30, x = 60 never.
+    monkeypatch.setattr(special, "_TINY", 20.0)
+    a = np.array([2.5, 10.0, 100.0, 0.5, 30.0, 5.0, 50.0])
+    x = np.array([4.5, 20.0, 110.0, 3.0, 60.0, 6.0, 51.0])
+    want = [loop_upper_gamma(ai, xi, tiny=20.0) for ai, xi in zip(a.tolist(), x.tolist())]
+    assert reg_upper_gamma(a, x).tolist() == want
+    assert [reg_upper_gamma(ai, xi) for ai, xi in zip(a, x)] == want
+
+
+@pytest.mark.parametrize("m, lam, rel", [(0, 0.05, 1e-14), (3, 2.5, 1e-13), (20, 7.0, 1e-13),
+                                         (99, 100.0, 1e-12), (130, 100.0, 1e-12),
+                                         (99683, 1e5, 1e-9), (100316, 1e5, 1e-9)])
+def test_poisson_cdf_against_mpmath(m, lam, rel):
+    with mpmath.workdps(40):
+        want = float(mpmath.gammainc(m + 1, lam, mpmath.inf, regularized=True))
+    assert poisson_cdf(m, lam) == pytest.approx(want, rel=rel)
+    assert poisson_cdf([m], [lam])[0] == poisson_cdf(m, lam)
 
 
 @given(hs.floats(min_value=0.05, max_value=500.0),
