@@ -67,7 +67,6 @@ from .data import (
     load_adjustments,
     parse_ecdc_csv,
     weekday_of_daynum,
-    write_ecdc_csv,
 )
 from .forecast import (
     ForecastResult,
@@ -79,7 +78,6 @@ from .forecast import (
 from .simulate import (
     SimConfig,
     SimResult,
-    gen_poisson_regression_data,
     poisson_sampler,
     run_intercept_experiment,
     run_regression_experiment,

@@ -3,8 +3,7 @@
 Day numbers index calendar days with December 31, 2019 mapping to 1
 (so March 1, 2020 is day 62 under the leap year).  Parsed series are
 gap-free: missing calendar days become explicit zero-count records
-carrying a ``filled`` flag, and the writer drops those rows again so a
-parse -> write -> parse round trip is the identity.
+carrying a ``filled`` flag.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ __all__ = [
     "date_of_daynum",
     "weekday_of_daynum",
     "parse_ecdc_csv",
-    "write_ecdc_csv",
     "load_adjustments",
 ]
 
@@ -184,26 +182,6 @@ def _parse_text(text: str, country: str) -> DailySeries:
             records.append(_record_for(cur, 0, filled=True))
         cur += timedelta(days=1)
     return DailySeries(records=tuple(records), country=country)
-
-
-def write_ecdc_csv(series: DailySeries, path) -> None:
-    """Write a series back out in the ECDC column layout.
-
-    Zero-filled gap records are skipped; the parser will re-create them,
-    so the round trip reproduces the series exactly.
-    """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["dateRep", "day", "month", "year", "cases", "deaths",
-                         "countriesAndTerritories", "geoId"])
-        for r in series.records:
-            if r.filled:
-                continue
-            writer.writerow([
-                f"{r.date.day:02d}/{r.date.month:02d}/{r.date.year}",
-                r.date.day, r.date.month, r.date.year, 0, r.count,
-                series.country, series.country,
-            ])
 
 
 def load_adjustments(path) -> tuple[tuple[int, int], ...]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DivergenceError, DomainError, MomentFailure
-from .special import TAIL_MASS, normal_quantile, poisson_cdf, poisson_log_pmf
+from .special import _ENUM_LIMIT, TAIL_MASS, normal_quantile, poisson_cdf, poisson_log_pmf
 
 __all__ = [
     "PredictionRegion",
@@ -58,10 +58,6 @@ TIE_RTOL = 1e-12
 # _CF_SKEW sd skewness; Poisson and negative binomial supports end near it.
 _TAIL_Z = -normal_quantile(TAIL_MASS)
 _CF_SKEW = (_TAIL_Z * _TAIL_Z - 1.0) / 6.0
-
-# The pmf builders raise DomainError past this rate, total or mean; glm's
-# smallest-plugin region is then the normal interval it is close to.
-_ENUM_LIMIT = 1e6
 
 
 @dataclass(frozen=True)

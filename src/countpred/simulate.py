@@ -71,7 +71,6 @@ __all__ = [
     "INTERCEPT_REGIONS",
     "REGRESSION_REGIONS",
     "poisson_sampler",
-    "gen_poisson_regression_data",
     "run_intercept_experiment",
     "run_regression_experiment",
     "result_to_csv",
@@ -281,18 +280,6 @@ def _draw_regression_instance(p, theta, w_dist, n, rng, redraws=0):
         y = rng.poisson(rates[:n]).astype(np.int64)
         y0 = int(rng.poisson(rates[n]))
         return powers, y, y0, redraws
-
-
-def gen_poisson_regression_data(p, theta, w_dist, n, seed):
-    """Deterministic synthetic regression draw for a given seed.
-
-    Returns ((y, X_raw), (y0, x0_raw)); X_raw holds the unstandardized
-    polynomial covariate rows.
-    """
-    _check_law(p, theta, w_dist, n)
-    rng = np.random.default_rng(seed)
-    powers, y, y0, _ = _draw_regression_instance(p, theta, w_dist, n, rng)
-    return (y, powers[:n]), (y0, powers[n])
 
 
 def _intercept_regions(n: int, t: int, alpha: float):

@@ -24,7 +24,6 @@ from countpred.data import (
     load_adjustments,
     parse_ecdc_csv,
     weekday_of_daynum,
-    write_ecdc_csv,
 )
 from countpred.errors import AdjustmentError, DataError, DomainError, SingularityError
 from countpred.glm import (
@@ -157,15 +156,6 @@ def test_parse_errors_raise_on_every_call(tmp_path):
     for _ in range(3):
         with pytest.raises(DataError, match="missing required columns"):
             parse_ecdc_csv(path, "Testland")
-
-
-def test_write_parse_round_trip(tmp_path):
-    rows = [row(date(2020, 3, 1), 3), row(date(2020, 3, 4), 7)]
-    series = parse_ecdc_csv(write_csv(tmp_path / "in.csv", rows), "Testland")
-    out = tmp_path / "out.csv"
-    write_ecdc_csv(series, out)
-    again = parse_ecdc_csv(str(out), "Testland")
-    assert again.records == series.records
 
 
 def test_series_helpers(tmp_path):
@@ -710,6 +700,25 @@ def test_simulate_config_no_draw_can_fit_ends_in_a_numerical_error(law):
                           env=env, capture_output=True, text=True, timeout=120)
     assert (proc.returncode, proc.stdout) == (3, "")
     assert proc.stderr.startswith("error: numerical:") and proc.stderr.count("\n") == 1
+
+
+def test_cli_runs_on_numpy_alone():
+    # scipy and mpmath are test oracles, never runtime imports
+    fixture = Path(cli.__file__).parent / "fixtures" / "us_covid_deaths_ecdc.csv"
+    script = (
+        "import sys\n"
+        "from countpred.cli import main\n"
+        "assert main(['exact-props', '--lambda-grid', '0.05,500', '--alpha', '0.05']) == 0\n"
+        f"assert main(['fit', '--data', {str(fixture)!r}, '--country', 'US',"
+        " '--order', '5', '--day-factor']) == 0\n"
+        "print(sorted(m for m in ('scipy', 'mpmath') if m in sys.modules), file=sys.stderr)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "[]\n")
 
 
 @pytest.mark.parametrize("variant, u", [("normal", "0"), ("sqrt", "0.3"),

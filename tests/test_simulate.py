@@ -37,7 +37,6 @@ from countpred.simulate import (
     _intercept_reps,
     _regression_chunk,
     _rep_rngs,
-    gen_poisson_regression_data,
     poisson_sampler,
     result_to_csv,
     run_experiment,
@@ -304,37 +303,6 @@ def test_regression_case_table():
     assert p1 == 1 and theta1 == (3.0, 5.0) and dist1[0] == "uniform"
     p4, theta4, _ = REGRESSION_CASES[4]
     assert p4 == 5 and len(theta4) == 6
-
-
-def test_gen_regression_data_deterministic_and_shapes():
-    (y, X), (y0, x0) = gen_poisson_regression_data(
-        1, (3.0, 5.0), ("uniform", 0.0, 1.0), 200, seed=11)
-    (y_b, X_b), (y0_b, x0_b) = gen_poisson_regression_data(
-        1, (3.0, 5.0), ("uniform", 0.0, 1.0), 200, seed=11)
-    assert np.array_equal(y, y_b) and np.array_equal(X, X_b)
-    assert y0 == y0_b and np.array_equal(x0, x0_b)
-    assert X.shape == (200, 2) and x0.shape == (2,)
-    assert np.all(X[:, 0] == 1.0)
-
-
-def test_gen_regression_data_intercept_only_mean():
-    # p=0 with theta=(ln 5,) draws iid Poisson(5) responses
-    (y, X), _ = gen_poisson_regression_data(
-        0, (float(np.log(5.0)),), ("uniform", 0.0, 1.0), 1000, seed=3)
-    assert 4.4 <= y.mean() <= 5.6
-
-
-def test_gen_regression_data_known_rate_at_point():
-    # theta (2, 3) at w=0.8139 gives rate exp(2 + 3 w) ~ 84.9; the drawn
-    # holdout pairs stay finite and nonnegative under that law
-    rates = []
-    for seed in range(40):
-        (y, X), (y0, x0) = gen_poisson_regression_data(
-            1, (2.0, 3.0), ("uniform", 0.0, 1.0), 5, seed=seed)
-        rates.append(np.exp(2.0 + 3.0 * x0[1]))
-        assert y0 >= 0
-    assert np.all(np.isfinite(rates))
-    assert float(np.exp(2.0 + 3.0 * 0.8139)) == pytest.approx(84.93, abs=0.05)
 
 
 def test_regression_experiment_deterministic_and_coverage():
