@@ -65,12 +65,12 @@ from .glm import (
 from .overdispersion import estimate_xi, fit_overdispersed, region_overdispersed
 from .regions import (
     _check_alpha,
+    build_smallest,
     exact_region_properties_batch,
     pmf_poisson,
     realize,
     region_nonrandomized,
     region_normal_known,
-    region_smallest,
     region_sqrt_known,
 )
 from .simulate import SimConfig, result_to_csv, run_experiment
@@ -417,7 +417,7 @@ def _cmd_exact_props(args) -> int:
         batch = lams[start:start + _EXACT_BATCH]
         regions = []
         for lam in batch:
-            randomized = region_smallest(pmf_poisson(lam), args.alpha, 0.0)
+            randomized = build_smallest(pmf_poisson(lam), args.alpha)
             regions += (randomized, region_nonrandomized(randomized),
                         region_normal_known(lam, args.alpha), region_sqrt_known(lam, args.alpha))
         props = exact_region_properties_batch(regions, [lam for lam in batch for _ in range(4)])

@@ -27,7 +27,7 @@ class NonConvergenceError(CountpredError):
     """An iteration exhausted its budget.
 
     Newton-Raphson carries its last iterate so callers can inspect it;
-    the incomplete-gamma series and continued fraction carry none.
+    the Poisson tail sum of ``special.poisson_cdf`` carries none.
     """
 
     def __init__(self, message, theta=None, iterations=None):

@@ -5,7 +5,9 @@ support by probability mass and keeps the most likely values; exact
 nominal coverage is achieved by including the tied boundary values with
 a calibrated probability (an external uniform draw decides).  The
 normal and square-root regions are closed-form intervals intersected
-with the nonnegative integers.
+with the nonnegative integers.  Every region is an interval of counts,
+and so is its core with the boundary folded in; ``build_smallest``
+raises DomainError for a pmf whose most probable values are not.
 
 Estimated-rate variants plug a pmf estimate into the same machinery:
 plug-in maximum likelihood, a second-order Taylor correction, the
@@ -62,11 +64,12 @@ _CF_SKEW = (_TAIL_Z * _TAIL_Z - 1.0) / 6.0
 
 @dataclass(frozen=True)
 class PredictionRegion:
-    """Integer-support prediction region.
+    """Integer-support prediction region: an interval of counts.
 
     ``core_lo..core_hi`` is the always-included interval (``core_hi ==
     core_lo - 1`` encodes an empty core).  ``boundary`` holds the values
-    included only with probability ``boundary_prob``.  ``realized_lo ..
+    included only with probability ``boundary_prob``; with the core they
+    form one interval, the folded region.  ``realized_lo ..
     realized_hi`` is the interval after the randomizer has been applied,
     again with ``hi == lo - 1`` for empty.  ``length`` is the real-line
     width for interval-type regions and ``realized_hi - realized_lo``
@@ -81,9 +84,6 @@ class PredictionRegion:
     realized_hi: int
     level: float
     length: float
-    # Populated only if the core is not contiguous (cannot happen for
-    # unimodal pmfs; kept so coverage stays exact for arbitrary input).
-    core_set: tuple[int, ...] | None = None
 
     def realized_contains(self, k: int) -> bool:
         return self.realized_lo <= k <= self.realized_hi
@@ -325,13 +325,9 @@ def _group_scan(log_mass: np.ndarray, target: float):
         return order[:0], 0, 0, 0.0
     slog = slog[:npos]
     order = order[:npos]
-    if npos > 1:
-        gaps = slog[:-1] - slog[1:]
-        tol = TIE_RTOL * np.maximum(1.0, np.abs(slog[:-1]))
-        new_group = gaps > tol
-        ends = np.flatnonzero(np.append(new_group, True))
-    else:
-        ends = np.array([0])
+    gaps = slog[:-1] - slog[1:]
+    tol = TIE_RTOL * np.maximum(1.0, np.abs(slog[:-1]))
+    ends = np.flatnonzero(np.append(gaps > tol, True))
     cum = np.cumsum(np.exp(slog))
     group_cum = cum[ends]
     # A group joins the core while the running total stays within the
@@ -347,12 +343,17 @@ def _group_scan(log_mass: np.ndarray, target: float):
     return order, int(core_end), int(ends[ncore]) + 1, gamma
 
 
-def _folded_bounds(region: PredictionRegion) -> tuple[int, int]:
-    """Bounds of core ∪ boundary for a region with a nonempty boundary."""
-    if region.core_hi >= region.core_lo:
-        return (min(region.core_lo, region.boundary[0]),
-                max(region.core_hi, region.boundary[-1]))
-    return region.boundary[0], region.boundary[-1]
+def _region_row(region: PredictionRegion) -> tuple[int, int, int, int, float]:
+    """(core lo, core hi, folded lo, folded hi, gamma): all a region's
+    coverage and length depend on.  The folded bounds, taken with
+    probability gamma, are those of core ∪ boundary: the core's without a
+    boundary, the boundary's with an empty core."""
+    lo, hi, b = region.core_lo, region.core_hi, region.boundary
+    if not b:
+        return lo, hi, lo, hi, region.boundary_prob
+    if hi < lo:
+        return lo, hi, b[0], b[-1], region.boundary_prob
+    return lo, hi, min(lo, b[0]), max(hi, b[-1]), region.boundary_prob
 
 
 def build_smallest(pmf: EstimatedPmf, alpha: float) -> PredictionRegion:
@@ -362,30 +363,32 @@ def build_smallest(pmf: EstimatedPmf, alpha: float) -> PredictionRegion:
     the captured mass past 1 - alpha; that group becomes the boundary,
     with inclusion probability gamma chosen so randomized coverage
     under ``pmf`` is exactly 1 - alpha.  The realized bounds are those
-    of the core alone; ``realize`` applies a uniform draw.
+    of the core alone; ``realize`` applies a uniform draw.  Raises
+    DomainError unless the core and core ∪ boundary are both intervals,
+    as they are for every unimodal pmf, each one this package builds.
     """
     _check_alpha(alpha)
     order, core_end, boundary_end, gamma = _group_scan(np.asarray(pmf.log_mass), 1.0 - alpha)
     core = order[:core_end]
-    boundary = order[core_end:boundary_end]
-    if core.size:
-        core_lo, core_hi = int(core.min()), int(core.max())
-        contiguous = core.size == core_hi - core_lo + 1
-        core_set = None if contiguous else tuple(sorted(int(k) for k in core))
-    else:
-        core_lo, core_hi = 0, -1
-        core_set = None
-    return PredictionRegion(
+    boundary = tuple(sorted(order[core_end:boundary_end].tolist()))
+    core_lo, core_hi = (int(core.min()), int(core.max())) if core_end else (0, -1)
+    region = PredictionRegion(
         core_lo=core_lo,
         core_hi=core_hi,
-        boundary=tuple(sorted(int(k) for k in boundary)),
-        boundary_prob=float(gamma) if boundary.size else 0.0,
+        boundary=boundary,
+        boundary_prob=float(gamma),
         realized_lo=core_lo,
         realized_hi=core_hi,
         level=1.0 - alpha,
         length=float(max(0, core_hi - core_lo)),
-        core_set=core_set,
     )
+    _, _, lo, hi, _ = _region_row(region)
+    # values are distinct, so a set fills its hull when the counts match
+    if core_end != core_hi - core_lo + 1 or core_end + len(boundary) != hi - lo + 1:
+        raise DomainError(f"the smallest region at alpha={alpha!r} is not an interval: "
+                          f"{core_end} core values within {core_lo}..{core_hi}, "
+                          f"{core_end + len(boundary)} with the boundary within {lo}..{hi}")
+    return region
 
 
 def realize(region: PredictionRegion, u: float) -> PredictionRegion:
@@ -398,7 +401,7 @@ def realize(region: PredictionRegion, u: float) -> PredictionRegion:
         raise DomainError(f"u must lie in [0, 1], got {u}")
     if not region.boundary or u > region.boundary_prob:
         return region
-    lo, hi = _folded_bounds(region)
+    _, _, lo, hi, _ = _region_row(region)
     return replace(region, realized_lo=lo, realized_hi=hi,
                    length=float(max(0, hi - lo)))
 
@@ -420,11 +423,11 @@ def region_nonrandomized(region: PredictionRegion) -> PredictionRegion:
     """
     if not region.boundary:
         return region
-    lo, hi = _folded_bounds(region)
+    _, _, lo, hi, _ = _region_row(region)
     return PredictionRegion(
         core_lo=lo, core_hi=hi, boundary=(), boundary_prob=0.0,
         realized_lo=lo, realized_hi=hi, level=region.level,
-        length=float(hi - lo), core_set=None)
+        length=float(hi - lo))
 
 
 def _interval_region(lower: float, upper: float, alpha: float) -> PredictionRegion:
@@ -438,7 +441,7 @@ def _interval_region(lower: float, upper: float, alpha: float) -> PredictionRegi
     return PredictionRegion(
         core_lo=lo, core_hi=hi, boundary=(), boundary_prob=0.0,
         realized_lo=lo, realized_hi=hi, level=1.0 - alpha,
-        length=float(upper - lower), core_set=None)
+        length=float(upper - lower))
 
 
 @functools.lru_cache(maxsize=64)
@@ -514,32 +517,18 @@ def exact_region_properties(region: PredictionRegion, lam: float) -> tuple[float
 
 
 def exact_region_properties_batch(regions, lams) -> list[tuple[float, float]]:
-    """``exact_region_properties`` of each region under its rate, with the
-    cdfs at every contiguous core's bounds taken in one ``poisson_cdf`` call."""
+    """``exact_region_properties`` of each region under its rate, from its
+    ``_region_row``, with the cdfs at every core's bounds taken in one
+    ``poisson_cdf`` call; an empty core reads one cdf twice, so 0."""
     if any(lam <= 0 for lam in lams):
         raise DomainError(f"exact_region_properties requires lam > 0, got {min(lams)}")
-    cored = [(r, lam) for r, lam in zip(regions, lams)
-             if r.core_set is None and r.core_hi >= r.core_lo]
-    cdf = poisson_cdf([r.core_hi for r, _ in cored] + [r.core_lo - 1 for r, _ in cored],
-                      [lam for _, lam in cored] * 2).tolist()
-    hi_cdf = iter(cdf[:len(cored)])
-    lo_cdf = iter(cdf[len(cored):])
+    rows = [_region_row(r) for r in regions]
+    cdf = poisson_cdf([hi for _, hi, *_ in rows] + [lo - 1 for lo, *_ in rows],
+                      [*lams, *lams]).tolist()
     out = []
-    for region, lam in zip(regions, lams):
-        if region.core_set is not None:
-            core_mass = sum(math.exp(poisson_log_pmf(k, lam)) for k in region.core_set)
-        elif region.core_hi >= region.core_lo:
-            core_mass = next(hi_cdf) - next(lo_cdf)
-        else:
-            core_mass = 0.0
+    for region, lam, (lo, hi, flo, fhi, gamma), at_hi, below_lo in zip(
+            regions, lams, rows, cdf, cdf[len(rows):]):
         bound_mass = sum(math.exp(poisson_log_pmf(k, lam)) for k in region.boundary)
-        gamma = region.boundary_prob
-        coverage = core_mass + gamma * bound_mass
-        core_len = float(max(0, region.core_hi - region.core_lo))
-        if region.boundary:
-            lo, hi = _folded_bounds(region)
-            incl_len = float(max(0, hi - lo))
-        else:
-            incl_len = core_len
-        out.append((coverage, gamma * incl_len + (1.0 - gamma) * core_len))
+        out.append((at_hi - below_lo + gamma * bound_mass,
+                    gamma * float(max(0, fhi - flo)) + (1.0 - gamma) * float(max(0, hi - lo))))
     return out

@@ -24,10 +24,11 @@ sufficient statistic T and the uniform draw u, and u only decides
 whether a region's boundary group is included.  A run therefore draws
 (T, y0, u) for every replication first, then builds the six regions
 once per distinct T of the whole run and keeps a table row per T and
-region: the bounds without and with the boundary and its inclusion
-probability gamma.  Coverage and length of every replication are read
-from its total's row in one vectorized step.  A row depends only on
-(n, T, alpha), so the results stay the same for every worker count.
+region, ``regions._region_row``: the bounds without and with the
+boundary and its inclusion probability gamma.  Coverage and length of
+every replication are read from its total's row in one vectorized
+step.  A row depends only on (n, T, alpha), so the results stay the
+same for every worker count.
 Regression replications are fitted one at a time, in fixed-size chunks;
 each keeps the same kind of row for its three regions, and a chunk is
 scored in one step.
@@ -52,7 +53,7 @@ from .glm import _variant_region, fit, rate_and_variance
 from .regions import (
     _check_alpha,
     _check_enumerable,
-    _folded_bounds,
+    _region_row,
     _taylor_from_plugin,
     build_smallest,
     hyper_from_mean_sd,
@@ -309,29 +310,19 @@ def _intercept_draws(args):
     return counts, u
 
 
-def _region_bounds(region) -> tuple[int, int, int, int]:
-    """(core lo, core hi, folded lo, folded hi) of a region before its draw.
-
-    A region without a boundary has folded bounds equal to its core's, so
-    including "the boundary" leaves it as it is, as realize() does.
-    """
-    core = (region.realized_lo, region.realized_hi)
-    return core + (_folded_bounds(region) if region.boundary else core)
-
-
-def _score(bounds, gamma, u, y0):
+def _score(rows, u, y0):
     """Covers and realized lengths from per-replication region rows.
 
-    ``bounds[j, i]`` holds _region_bounds of region i in replication j and
-    ``gamma[j, i]`` its boundary's inclusion probability; a replication
-    takes the folded bounds where its uniform draw u is at most gamma.
-    Bounds are floats: an interval bound is the ceiling or floor of a
-    float, so it is exact there, and it may lie past the int64 range.
-    Their difference rounds once, as the float of the integer width does.
+    ``rows[j, i]`` holds the _region_row of region i in replication j; a
+    replication takes the folded bounds where its uniform draw u is at
+    most gamma.  Bounds are floats: an interval bound is the ceiling or
+    floor of a float, so it is exact there, and it may lie past the int64
+    range.  Their difference rounds once, as the float of the integer
+    width does.
     """
-    include = u[:, None] <= gamma
-    lo = np.where(include, bounds[..., 2], bounds[..., 0])
-    hi = np.where(include, bounds[..., 3], bounds[..., 1])
+    include = u[:, None] <= rows[..., 4]
+    lo = np.where(include, rows[..., 2], rows[..., 0])
+    hi = np.where(include, rows[..., 3], rows[..., 1])
     # Counts are drawn at rates of at most e**42, far below 2**62, so the
     # bounds clipped there compare with them exactly as integers.
     y0 = y0[:, None]
@@ -342,16 +333,13 @@ def _score(bounds, gamma, u, y0):
 
 
 def _intercept_table(args):
-    """Per total and region: _region_bounds and the boundary's inclusion
-    probability gamma."""
+    """The _region_row of each region, per total."""
     n, totals, alpha = args
-    bounds = np.empty((totals.size, 6, 4))
-    gamma = np.empty((totals.size, 6))
+    rows = np.empty((totals.size, 6, 5))
     for j, t in enumerate(totals):
         for i, r in enumerate(_intercept_regions(n, int(t), alpha)):
-            bounds[j, i] = _region_bounds(r)
-            gamma[j, i] = r.boundary_prob
-    return bounds, gamma
+            rows[j, i] = _region_row(r)
+    return rows
 
 
 def _intercept_reps(seed, start, stop, n, lam, alpha, workers=1):
@@ -365,24 +353,21 @@ def _intercept_reps(seed, start, stop, n, lam, alpha, workers=1):
                                             for s, e in _chunk_bounds(start, stop)])
         counts = np.concatenate([c for c, _ in draws])
         u = np.concatenate([v for _, v in draws])
-        totals, row = np.unique(counts[:, 0], return_inverse=True)
+        totals, which = np.unique(counts[:, 0], return_inverse=True)
         blocks = np.array_split(totals, min(workers, totals.size))
         tables = pool_map(_intercept_table, [(n, b, alpha) for b in blocks])
-    bounds = np.concatenate([b for b, _ in tables])[row]
-    gamma = np.concatenate([g for _, g in tables])[row]
-    return _score(bounds, gamma, u, counts[:, 1])
+    return _score(np.concatenate(tables)[which], u, counts[:, 1])
 
 
 def _regression_chunk(args):
     """Covers, realized lengths and redraws of replications start..stop-1.
 
     Each replication is fitted on the rows it was drawn from and keeps its
-    three regions as _region_bounds rows; all are scored in one step.
+    three regions as _region_row rows; all are scored in one step.
     """
     seed, start, stop, n, p, theta, w_dist, alpha = args
     m = stop - start
-    bounds = np.empty((m, 3, 4))
-    gamma = np.empty((m, 3))
+    rows = np.empty((m, 3, 5))
     u = np.empty(m)
     y0 = np.empty(m, dtype=np.int64)
     redraws = 0
@@ -399,10 +384,8 @@ def _regression_chunk(args):
                 continue
             break
         redraws += rd
-        for i, r in enumerate(regs):
-            bounds[j, i] = _region_bounds(r)
-            gamma[j, i] = r.boundary_prob
-    return _score(bounds, gamma, u, y0) + (redraws,)
+        rows[j] = [_region_row(r) for r in regs]
+    return _score(rows, u, y0) + (redraws,)
 
 
 @contextmanager

@@ -61,7 +61,9 @@ def poisson_cdf(w, lam):
     are scalars, for 0 < lam <= 1e6.  With m = floor(w) the pmf is summed
     away from the bound, over k > m where lam < m + 2 and over k <= m
     otherwise, so the terms fall from the first and the cost is O(sqrt(lam))
-    whatever m is.
+    whatever m is.  m is clipped at 2**53, where the mass above it is 0 in
+    float for every lam: near the float maximum 1/(m + 1) is subnormal,
+    and the sum's stop test would never hold.
     """
     w, lam = np.broadcast_arrays(np.asarray(w, dtype=np.float64),
                                  np.asarray(lam, dtype=np.float64))
@@ -73,7 +75,7 @@ def poisson_cdf(w, lam):
     p = np.zeros(w.shape)
     inside = w >= 0
     if inside.any():
-        a, x = np.floor(w[inside]) + 1.0, lam[inside]
+        a, x = np.minimum(np.floor(w[inside]), 2.0**53) + 1.0, lam[inside]
         lower = x >= a + 1.0
         tail = _tail_sum(a, x, lower) * _prefactor(a, x)
         p[inside] = np.where(lower, tail, 1.0 - tail)

@@ -68,10 +68,6 @@ def smallest_region_oracle(masses, alpha):
 
 
 def region_core_as_set(region):
-    if region.core_set is not None:
-        return set(region.core_set)
-    if region.core_hi < region.core_lo:
-        return set()
     return set(range(region.core_lo, region.core_hi + 1))
 
 
@@ -113,6 +109,35 @@ def test_point_mass_region():
     assert not missed.realized_contains(4)
 
 
+@given(hs.integers(min_value=1, max_value=200), hs.integers(min_value=0, max_value=20_000),
+       hs.floats(min_value=1e-9, max_value=2e4), hs.sampled_from([0.003, 0.01, 0.05, 0.2]))
+@example(1, 4, 1.0, 0.05)              # n = 1: a point mass, its core empty
+@example(5, 10, 2.0, 0.05)             # integer rates: tied modes
+@settings(max_examples=60, deadline=None)
+def test_package_pmfs_give_interval_regions(n, t, lam, alpha):
+    pmfs = [pmf_poisson(lam), pmf_plugin_ml(n, t), pmf_umvue(n, t),
+            *(pmf_gamma_predictive(n, t, kappa, beta) for kappa, beta in GAMMA_HYPERS)]
+    if t >= 1:
+        pmfs.append(pmf_taylor(n, t))
+    for pmf in pmfs:
+        region = regions.build_smallest(pmf, alpha)
+        kept = region_core_as_set(region) | set(region.boundary)
+        hull = set(range(min(kept), max(kept) + 1))
+        assert kept == hull
+        folded = region_nonrandomized(region)
+        assert region_core_as_set(folded) == hull
+
+
+@pytest.mark.parametrize("masses, alpha", [
+    ((0.40, 0.05, 0.45, 0.10), 0.15),          # core {0, 2}
+    ((0.30, 0.02, 0.02, 0.30, 0.36), 0.1),     # core {4}, boundary {0, 3}
+])
+def test_smallest_region_of_a_pmf_with_a_gap_is_refused(masses, alpha):
+    pmf = regions.EstimatedPmf(np.log(np.array(masses)), len(masses) - 1)
+    with pytest.raises(DomainError, match="not an interval"):
+        regions.build_smallest(pmf, alpha)
+
+
 @given(hs.floats(min_value=0.02, max_value=150.0),
        hs.floats(min_value=0.005, max_value=0.3))
 @settings(max_examples=60)
@@ -128,7 +153,6 @@ def test_randomized_coverage_identity(lam, alpha):
 @settings(max_examples=60)
 def test_nonrandomized_coverage_and_contiguity(lam, alpha):
     region = region_smallest(pmf_poisson(lam), alpha, u=0.0)
-    assert region.core_set is None                    # unimodal pmf
     folded = region_nonrandomized(region)
     coverage, _ = exact_region_properties(folded, lam)
     assert coverage >= 1.0 - alpha - 1e-12
@@ -153,30 +177,25 @@ def test_expected_length_mixes_realizations():
 
 def exact_props_regions(lam, alpha):
     """The four known-rate regions of one exact-props row."""
-    randomized = region_smallest(pmf_poisson(lam), alpha, 0.0)
+    randomized = regions.build_smallest(pmf_poisson(lam), alpha)
     return [randomized, region_nonrandomized(randomized),
             region_normal_known(lam, alpha), region_sqrt_known(lam, alpha)]
 
 
 def direct_coverage(region, lam):
     """exact_region_properties' coverage with one poisson_cdf per bound."""
-    if region.core_set is not None:
-        core = sum(math.exp(poisson_log_pmf(k, lam)) for k in region.core_set)
-    elif region.core_hi >= region.core_lo:
+    core = 0.0
+    if region.core_hi >= region.core_lo:
         core = poisson_cdf(region.core_hi, lam) - poisson_cdf(region.core_lo - 1, lam)
-    else:
-        core = 0.0
     bound = sum(math.exp(poisson_log_pmf(k, lam)) for k in region.boundary)
     return core + region.boundary_prob * bound
 
 
 def test_exact_properties_batch_equals_direct_formula():
-    gapped = PredictionRegion(core_lo=1, core_hi=6, boundary=(0, 7), boundary_prob=0.25,
-                              realized_lo=1, realized_hi=6, level=0.9, length=5.0,
-                              core_set=(1, 2, 6))
+    # the batch reads the cdf at 2 twice for this empty core: 0 core mass
     empty = PredictionRegion(core_lo=3, core_hi=2, boundary=(3,), boundary_prob=0.4,
                              realized_lo=3, realized_hi=2, level=0.9, length=0.0)
-    pool = [gapped, empty]
+    pool = [empty]
     for lam in (0.05, 0.3, 0.9, 4.0, 17.5, 250.0):
         pool += exact_props_regions(lam, 0.05) + exact_props_regions(lam, 0.01)
     # every region at every rate, rates interleaved, in one batch and one by one
@@ -222,8 +241,7 @@ def test_exact_props_takes_every_region_bound_cdf_in_one_call(monkeypatch, capsy
                          "--lambda-grid", "0.05:5:0.05"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 2 + 100
     bounds = [(m, lam) for lam in _parse_values("0.05:5:0.05", float)
-              for r in exact_props_regions(lam, 0.05) if r.core_hi >= r.core_lo
-              for m in (r.core_hi, r.core_lo - 1)]
+              for r in exact_props_regions(lam, 0.05) for m in (r.core_hi, r.core_lo - 1)]
     # one array call for the command, one element per bound
     assert len(calls) == 1
     ms, lams = calls[0]
@@ -272,11 +290,10 @@ def test_known_rate_smallest_region_equals_full_support_build(alpha):
     for lam in CUT_RATES:
         cut = regions.build_smallest(pmf_poisson(lam), alpha)
         wide = regions.build_smallest(wide_support_pmf(lam), alpha)
-        assert (cut.core_lo, cut.core_hi, cut.boundary, cut.core_set) == \
-            (wide.core_lo, wide.core_hi, wide.boundary, wide.core_set), lam
+        assert (cut.core_lo, cut.core_hi, cut.boundary) == \
+            (wide.core_lo, wide.core_hi, wide.boundary), lam
         truth = st.poisson(lam)
-        core_mass = (float(truth.pmf(cut.core_set).sum()) if cut.core_set is not None
-                     else float(truth.cdf(cut.core_hi) - truth.cdf(cut.core_lo - 1)))
+        core_mass = float(truth.cdf(cut.core_hi) - truth.cdf(cut.core_lo - 1))
         coverage = core_mass + cut.boundary_prob * float(truth.pmf(cut.boundary).sum())
         assert coverage == pytest.approx(1.0 - alpha, abs=1e-11), lam
 
@@ -454,6 +471,24 @@ def reference_upper_support(lam, tail_mass):
     return lo
 
 
+def reference_upper_supports(lams, tail_mass):
+    """reference_upper_support of every rate, with one array cdf per step
+    over the rates still open.  Bounds stay below 2**53, exact as floats."""
+    target = 1.0 - tail_mass
+    hi = np.floor(lams + 10.0 * np.sqrt(lams) + 20.0)
+    short = np.arange(lams.size)
+    while short.size:
+        short = short[poisson_cdf(hi[short], lams[short]) < target]
+        hi[short] = np.floor(hi[short] * 1.5) + 10.0
+    lo = np.zeros(lams.size)
+    while (open_ := np.flatnonzero(lo < hi)).size:
+        mid = np.floor((lo[open_] + hi[open_]) / 2.0)
+        reached = poisson_cdf(mid, lams[open_]) >= target
+        hi[open_[reached]] = mid[reached]
+        lo[open_[~reached]] = mid[~reached] + 1.0
+    return lo.astype(np.int64)
+
+
 # The exact-props grid, the rate estimates t/n of the simulation cells,
 # a log-spaced sweep up to the enumeration cap, and rates whose support
 # is {0}.
@@ -487,10 +522,14 @@ def test_poisson_support_ends_at_its_first_bound():
     # lies below support_hi only where the cdf at support_hi - 1 is too.
     target = 1.0 - TAIL_MASS
     assert (poisson_cdf(his, lams) >= target).all()
-    for lam, pmf, below in zip(SUPPORT_RATES, pmfs, poisson_cdf(his - 1, lams)):
-        if pmf.support_hi == 0 or below < target:
-            continue
-        cut = reference_upper_support(lam, TAIL_MASS)
+    early = np.flatnonzero((his > 0) & (poisson_cdf(his - 1, lams) >= target))
+    cuts = reference_upper_supports(lams[early], TAIL_MASS)
+    assert (poisson_cdf(cuts, lams[early]) >= target).all()
+    assert (poisson_cdf(cuts - 1, lams[early]) < target).all()
+    # the one-rate bisection agrees on a handful of them
+    for j in np.linspace(0, early.size - 1, 6).astype(int):
+        assert cuts[j] == reference_upper_support(float(lams[early[j]]), TAIL_MASS)
+    for lam, pmf, cut in zip(lams[early].tolist(), [pmfs[j] for j in early], cuts.tolist()):
         assert cut < pmf.support_hi
         short = pmf.log_mass[:cut + 1]
         if lam <= 1e5:
@@ -614,7 +653,7 @@ def pinned_region(lower, upper, alpha):
     return PredictionRegion(
         core_lo=lo, core_hi=hi, boundary=(), boundary_prob=0.0,
         realized_lo=lo, realized_hi=hi, level=1.0 - alpha,
-        length=float(upper - lower), core_set=None)
+        length=float(upper - lower))
 
 
 def pinned_normal(center, half, alpha):

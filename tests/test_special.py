@@ -1,6 +1,9 @@
 """Special-function kernels against scipy oracles."""
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import mpmath
@@ -12,10 +15,10 @@ from hypothesis import given, strategies as hs
 
 from countpred import DomainError, NonConvergenceError, special
 from countpred.regions import (
+    build_smallest,
     pmf_poisson,
     region_nonrandomized,
     region_normal_known,
-    region_smallest,
     region_sqrt_known,
 )
 from countpred.special import (
@@ -94,10 +97,29 @@ def test_poisson_cdf_without_a_nonnegative_bound_is_zero():
 
 @pytest.mark.parametrize("w", [9e35, 1e300])
 def test_poisson_cdf_of_a_huge_bound_is_one(w):
-    # the term budget 1000 + 10 sqrt(m + 1) does not fit in an int64 here
+    # a bound past 2**53 is taken as 2**53
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert poisson_cdf(w, 5.0) == 1.0
+
+
+def test_poisson_cdf_of_a_bound_near_the_float_max_returns():
+    # Unclipped, lgamma(m + 1) overflowed from about 1e306 on, and near 1e308
+    # 1/(m + 1) is subnormal, so the sum's stop test never held.  A hang is
+    # caught by the timeout of a separate process.
+    script = ("import sys, warnings\n"
+              "warnings.simplefilter('error')\n"
+              "from countpred.special import poisson_cdf\n"
+              "print([poisson_cdf(w, lam) for w in (1e306, 1e308, sys.float_info.max)\n"
+              "       for lam in (5.0, 1e6)])\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.dirname(os.path.dirname(special.__file__)),
+                    env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == repr([1.0] * 6) + "\n"
 
 
 @pytest.mark.parametrize("m", [109.0, 89.0], ids=["upper", "lower"])
@@ -165,15 +187,14 @@ def loop_cdf(m, lam):
 
 
 def exact_props_bounds(lams, alpha=0.05):
-    """(m, lam) at both bounds (core_hi and core_lo - 1) of every
-    contiguous core among the four exact-props regions of each rate."""
+    """(m, lam) at both bounds (core_hi and core_lo - 1) of the core of
+    each of the four exact-props regions of each rate."""
     pairs = []
     for lam in lams:
-        randomized = region_smallest(pmf_poisson(lam), alpha, 0.0)
+        randomized = build_smallest(pmf_poisson(lam), alpha)
         for r in (randomized, region_nonrandomized(randomized),
                   region_normal_known(lam, alpha), region_sqrt_known(lam, alpha)):
-            if r.core_hi >= r.core_lo:
-                pairs += [(r.core_hi, lam), (r.core_lo - 1, lam)]
+            pairs += [(r.core_hi, lam), (r.core_lo - 1, lam)]
     return pairs
 
 
