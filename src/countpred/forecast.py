@@ -192,20 +192,20 @@ def _series_design(series: DailySeries, design: DesignSpec):
 
 
 def _fit_series(series: DailySeries, design: DesignSpec) -> GlmFit:
-    """Poisson fit of a series under a design."""
+    """Poisson fit of a series under a design, which needs at least two
+    more observations than parameters."""
     X, spec = _series_design(series, design)
+    if len(series.records) < X.shape[1] + 2:
+        raise DesignError(
+            f"cutoff {series.last_daynum()} leaves {len(series.records)} observations for "
+            f"{X.shape[1]} parameters")
     return fit(X, np.array(series.counts()), design=spec)
 
 
 def _fit_for_cutoff(series: DailySeries, design: DesignSpec, cutoff: int,
                     overdispersed: bool):
     sub = series.truncated(cutoff)
-    X, spec = _series_design(sub, design)
-    if len(sub.records) < X.shape[1] + 2:
-        raise DesignError(
-            f"cutoff {cutoff} leaves {len(sub.records)} observations for "
-            f"{X.shape[1]} parameters")
-    base = fit(X, np.array(sub.counts()), design=spec)
+    base = _fit_series(sub, design)
     if overdispersed:
         return sub, fit_overdispersed(base)
     return sub, base

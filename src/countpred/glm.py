@@ -106,6 +106,12 @@ class GlmFit:
     halvings: int = 0            # line-search step halvings over all iterations
     qr: tuple[np.ndarray, np.ndarray] | None = None   # X = QR, the variance basis
 
+    @functools.cached_property
+    def _info_cholesky(self) -> np.ndarray:
+        """L with LL' = Q' diag(fitted_rates) Q, factored once per fit on first use."""
+        Q, _ = _fit_basis(self)
+        return np.linalg.cholesky(_information(Q, self.fitted_rates))
+
 
 @dataclass(frozen=True)
 class ResidualDiagnostics:
@@ -415,15 +421,14 @@ def rate_and_variance(fit_: GlmFit, x0) -> tuple[float, float]:
 
     The factor is 1 + rate * x0' I(theta)^-1 x0; for an intercept-only
     design it reduces to 1 + 1/n.  The form is |L^-1 R^-T x0|^2 in the
-    fit's basis X = QR, with LL' = Q' diag(rates) Q: nonnegative, and
-    SingularityError where that factorization or solve fails.  A fit
-    without that basis raises DesignError.
+    fit's basis X = QR, with LL' = Q' diag(rates) Q factored once per fit:
+    nonnegative, and SingularityError where that factorization or solve
+    fails.  A fit without that basis raises DesignError.
     """
     x0, lam0 = _predicted_rate(fit_.theta, x0)
-    Q, R = _fit_basis(fit_)
+    _, R = _fit_basis(fit_)
     try:
-        L = np.linalg.cholesky(_information(Q, fit_.fitted_rates))
-        v = np.linalg.solve(L, np.linalg.solve(R.T, x0))
+        v = np.linalg.solve(fit_._info_cholesky, np.linalg.solve(R.T, x0))
     except np.linalg.LinAlgError as exc:
         raise SingularityError(
             "information matrix is singular (rank-deficient design)") from exc

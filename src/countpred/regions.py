@@ -19,7 +19,6 @@ masses back from the support end.
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass, replace
@@ -444,15 +443,9 @@ def _interval_region(lower: float, upper: float, alpha: float) -> PredictionRegi
         length=float(upper - lower))
 
 
-@functools.lru_cache(maxsize=64)
-def _z(alpha: float) -> float:
-    """The 1 - alpha/2 standard normal quantile, computed once per alpha."""
-    return normal_quantile(1.0 - alpha / 2.0)
-
-
 def _normal_interval(center: float, var: float, alpha: float) -> PredictionRegion:
     """center +- z sqrt(var), clipped at 0, with z the 1 - alpha/2 quantile."""
-    half = _z(alpha) * math.sqrt(var)
+    half = normal_quantile(1.0 - alpha / 2.0) * math.sqrt(var)
     return _interval_region(max(0.0, center - half), center + half, alpha)
 
 
@@ -461,7 +454,7 @@ def _sqrt_interval(rate: float, v: float, alpha: float) -> PredictionRegion:
 
     sqrt(Y) has variance about v/4 when Y has variance rate * v.
     """
-    c = _z(alpha) * math.sqrt(v / 4.0)
+    c = normal_quantile(1.0 - alpha / 2.0) * math.sqrt(v / 4.0)
     s = math.sqrt(rate)
     return _interval_region(max(0.0, s - c) ** 2, (s + c) ** 2, alpha)
 

@@ -426,6 +426,22 @@ def test_cli_sweep_collects_row_errors(series_csv, tmp_path):
     assert good[0] == "121" and good[-1] == ""
 
 
+@pytest.mark.parametrize("cutoff", [72, 73, 74])
+def test_predict_forecast_and_sweep_refuse_fewer_than_k_plus_2_observations(cutoff, capsys):
+    # order 5 plus weekday has k = 12 parameters; the fixture starts on day 62
+    fixture = str(Path(cli.__file__).parent / "fixtures" / "us_covid_deaths_ecdc.csv")
+    data = ["--data", fixture, "--country", "US", "--order", "5", "--day-factor"]
+    want = f"cutoff {cutoff} leaves {cutoff - 61} observations for 12 parameters"
+    for command in (["forecast", "--cutoff-daynum", str(cutoff), "--target-daynum", "154",
+                     "--allow-long-horizon", "--overdispersed"],
+                    ["predict", "--cutoff-daynum", str(cutoff), "--daynum", "100"]):
+        assert run_cli(command + data) == 2
+        assert capsys.readouterr().err == f"error: data: {want}\n"
+    assert run_cli(["sweep", "--cutoffs", str(cutoff), "--target-daynum", "154"] + data) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"{cutoff},{parse_ecdc_csv(fixture, 'US').cumulative_to(cutoff)},,,,,{want}")
+
+
 def test_cli_simulate_csv(tmp_path):
     out = tmp_path / "sim.csv"
     code = run_cli(["simulate", "--scenario", "intercept", "--n", "5",

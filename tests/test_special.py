@@ -13,7 +13,7 @@ import scipy.special as sp
 import scipy.stats as st
 from hypothesis import given, strategies as hs
 
-from countpred import DomainError, NonConvergenceError, special
+from countpred import DomainError, NonConvergenceError, alpha_star, special
 from countpred.regions import (
     build_smallest,
     pmf_poisson,
@@ -22,9 +22,8 @@ from countpred.regions import (
     region_sqrt_known,
 )
 from countpred.special import (
+    TAIL_MASS,
     chisq_sf,
-    normal_cdf,
-    normal_pdf,
     normal_quantile,
     poisson_cdf,
     poisson_log_pmf,
@@ -101,6 +100,14 @@ def test_poisson_cdf_of_a_huge_bound_is_one(w):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert poisson_cdf(w, 5.0) == 1.0
+
+
+def test_poisson_cdf_of_a_tiny_rate_and_a_large_bound_does_not_overflow():
+    # an upper-side element divides x by a + j, never a + j by x = 1e-300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert poisson_cdf(1e10, 1e-300) == 1.0
+        assert poisson_cdf([1e10, 3.0], [1e-300, 5.0]).tolist() == [1.0, poisson_cdf(3.0, 5.0)]
 
 
 def test_poisson_cdf_of_a_bound_near_the_float_max_returns():
@@ -234,21 +241,13 @@ def test_poisson_cdf_monotone(lam, w, dw):
     assert 0.0 <= a <= b <= 1.0
 
 
-def test_normal_cdf_pdf_match_scipy():
-    xs = np.linspace(-8, 8, 161)
-    np.testing.assert_allclose([normal_cdf(float(x)) for x in xs],
-                               st.norm.cdf(xs), rtol=0, atol=1e-14)
-    np.testing.assert_allclose([normal_pdf(float(x)) for x in xs],
-                               st.norm.pdf(xs), rtol=1e-12, atol=0)
-
-
 def test_normal_quantile_values():
     assert normal_quantile(0.5) == 0.0
     assert normal_quantile(0.975) == pytest.approx(1.959963984540054, abs=1e-12)
     ps = np.linspace(1e-6, 1 - 1e-6, 97)
     np.testing.assert_allclose([normal_quantile(float(p)) for p in ps],
                                st.norm.ppf(ps), rtol=1e-10, atol=1e-11)
-    # deep tail: the erf-based refinement holds absolute, not relative, accuracy
+    # deep tail
     for p in (1e-10, 1e-8, 1 - 1e-8, 1 - 1e-10):
         assert normal_quantile(p) == pytest.approx(float(st.norm.ppf(p)), abs=1e-8)
 
@@ -260,7 +259,34 @@ def test_normal_quantile_antisymmetry(p):
 
 @given(hs.floats(min_value=-6.0, max_value=6.0))
 def test_normal_quantile_inverts_cdf(x):
-    assert normal_quantile(normal_cdf(x)) == pytest.approx(x, abs=1e-8)
+    assert normal_quantile(float(st.norm.cdf(x))) == pytest.approx(x, abs=1e-8)
+
+
+def mpmath_normal_quantile(p):
+    """Phi^-1(p) at 50 digits: Newton on ln Phi(z) = ln min(p, 1 - p), which
+    is concave in z, from the lower tail."""
+    with mpmath.workdps(50):
+        q = mpmath.mpf(p)
+        t = min(q, 1 - q)
+        z = -mpmath.sqrt(-2 * mpmath.log(t))
+        for _ in range(100):
+            step = (mpmath.log(mpmath.ncdf(z)) - mpmath.log(t)) * mpmath.ncdf(z) / mpmath.npdf(z)
+            z -= step
+            if abs(step) < mpmath.mpf(10) ** -45:
+                return z if q < 0.5 else -z
+    raise AssertionError(f"the oracle did not converge at p={p!r}")
+
+
+def test_normal_quantile_against_mpmath():
+    # every z the package takes: the support tail, the usual 95% pair and each
+    # forecast day's alpha*/2 at alpha = 0.05 for horizons 1..60
+    ps = [1e-300, TAIL_MASS, 0.025, 0.975]
+    for horizon in range(1, 61):
+        half = alpha_star(0.05, horizon) / 2.0
+        ps += [half, 1.0 - half]
+    for p in ps:
+        want = mpmath_normal_quantile(p)
+        assert abs(float((normal_quantile(p) - want) / want)) <= 1e-15, p
 
 
 def test_chisq_sf_values():
