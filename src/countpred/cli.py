@@ -292,8 +292,8 @@ def _cmd_predict(args) -> int:
         if over is not None:
             region = region_overdispersed(over, x0, args.alpha)
         else:
-            region = realize(_variant_region(lam0, vhat, args.alpha, args.variant),
-                             args.u)
+            region = _variant_region(lam0, vhat, args.alpha, args.variant)
+        region = realize(region, args.u)
         rows.append({"daynum": daynum, "rate": lam0, "variance_factor": vhat,
                      "variant": args.variant, "lower": region.realized_lo,
                      "upper": region.realized_hi,

@@ -17,6 +17,7 @@ from .data import DailySeries, weekday_of_daynum
 from .errors import (
     AdjustmentError,
     CountpredError,
+    DataError,
     DesignError,
     DomainError,
     HorizonError,
@@ -204,6 +205,9 @@ def _fit_series(series: DailySeries, design: DesignSpec) -> GlmFit:
 
 def _fit_for_cutoff(series: DailySeries, design: DesignSpec, cutoff: int,
                     overdispersed: bool):
+    if cutoff > series.last_daynum():
+        raise DataError(f"cutoff {cutoff} is after the last observed day "
+                        f"{series.last_daynum()}")
     sub = series.truncated(cutoff)
     base = _fit_series(sub, design)
     if overdispersed:

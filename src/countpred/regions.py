@@ -66,23 +66,35 @@ class PredictionRegion:
     """Integer-support prediction region: an interval of counts.
 
     ``core_lo..core_hi`` is the always-included interval (``core_hi ==
-    core_lo - 1`` encodes an empty core).  ``boundary`` holds the values
-    included only with probability ``boundary_prob``; with the core they
-    form one interval, the folded region.  ``realized_lo ..
-    realized_hi`` is the interval after the randomizer has been applied,
-    again with ``hi == lo - 1`` for empty.  ``length`` is the real-line
-    width for interval-type regions and ``realized_hi - realized_lo``
-    for enumerated ones.
+    core_lo - 1`` encodes an empty core).  ``folded_lo..folded_hi`` is
+    the folded region: the core with the boundary group, the values
+    included only with probability ``boundary_prob``, folded in.
+    ``realized_lo .. realized_hi`` is the interval after the randomizer
+    has been applied, again with ``hi == lo - 1`` for empty.  ``length``
+    is the real-line width for interval-type regions and ``realized_hi -
+    realized_lo`` for enumerated ones.
     """
 
     core_lo: int
     core_hi: int
-    boundary: tuple[int, ...]
+    folded_lo: int
+    folded_hi: int
     boundary_prob: float
     realized_lo: int
     realized_hi: int
     level: float
     length: float
+
+    @property
+    def boundary(self) -> tuple[int, ...]:
+        """The folded values outside the core, ascending."""
+        lo, hi, flo, fhi, _ = self.row
+        return (*range(flo, min(lo, fhi + 1)), *range(max(hi + 1, flo), fhi + 1))
+
+    @property
+    def row(self) -> tuple[int, int, int, int, float]:
+        """(core lo, core hi, folded lo, folded hi, gamma), as every scorer reads it."""
+        return self.core_lo, self.core_hi, self.folded_lo, self.folded_hi, self.boundary_prob
 
     def realized_contains(self, k: int) -> bool:
         return self.realized_lo <= k <= self.realized_hi
@@ -93,7 +105,10 @@ class EstimatedPmf:
     """Dense pmf estimate on 0..support_hi with masses stored as logs."""
 
     log_mass: np.ndarray
-    support_hi: int
+
+    @property
+    def support_hi(self) -> int:
+        return self.log_mass.size - 1
 
     def mass(self, k: int) -> float:
         if 0 <= k <= self.support_hi:
@@ -146,7 +161,7 @@ def _pmf_from_ratios(log_mass_at, ratio_bound, start: int, log_back_ratio) -> Es
     rel = np.zeros(hi + 1)
     np.add.accumulate(log_back_ratio(np.arange(hi, 0, -1.0)), out=rel[:hi][::-1])
     rel -= math.log(np.exp(rel).sum() + q / (1.0 - q))
-    return EstimatedPmf(rel, hi)
+    return EstimatedPmf(rel)
 
 
 def pmf_poisson(lam: float) -> EstimatedPmf:
@@ -156,7 +171,7 @@ def pmf_poisson(lam: float) -> EstimatedPmf:
         raise DomainError(f"pmf_poisson requires lam >= 0, got {lam}")
     _check_enumerable(lam, "pmf_poisson rate")
     if lam == 0.0:
-        return EstimatedPmf(np.zeros(1), 0)
+        return EstimatedPmf(np.zeros(1))
     return _pmf_from_ratios(lambda k: poisson_log_pmf(k, lam), lambda k: lam / (k + 1.0),
                             int(lam + _TAIL_Z * math.sqrt(lam) + _CF_SKEW),
                             lambda ys: np.log(ys / lam))
@@ -189,15 +204,14 @@ def pmf_taylor(n: int, t: int) -> EstimatedPmf:
 def _taylor_from_plugin(plugin: EstimatedPmf, n: int, t: int) -> EstimatedPmf:
     """pmf_taylor(n, t) from the already built plug-in pmf at rate t/n."""
     rate = t / n
-    hi = plugin.support_hi
     base = np.exp(plugin.log_mass)
-    ks = np.arange(hi + 1, dtype=np.float64)
+    ks = np.arange(base.size, dtype=np.float64)
     bracket = (1.0 - ks / rate) ** 2 - ks / rate**2
     adjusted = base / (1.0 + 0.5 * bracket * rate / n)
     adjusted /= adjusted.sum()
     with np.errstate(divide="ignore"):
         logm = np.log(adjusted)
-    return EstimatedPmf(logm, hi)
+    return EstimatedPmf(logm)
 
 
 def pmf_umvue(n: int, t: int) -> EstimatedPmf:
@@ -215,7 +229,7 @@ def pmf_umvue(n: int, t: int) -> EstimatedPmf:
     if n == 1:
         logm = np.full(t + 1, -np.inf)
         logm[t] = 0.0
-        return EstimatedPmf(logm, t)
+        return EstimatedPmf(logm)
     log_p, log_fail = -math.log(n), math.log1p(-1.0 / n)
     sd = math.sqrt(t / n * (1.0 - 1.0 / n))
     return _pmf_from_ratios(
@@ -342,19 +356,6 @@ def _group_scan(log_mass: np.ndarray, target: float):
     return order, int(core_end), int(ends[ncore]) + 1, gamma
 
 
-def _region_row(region: PredictionRegion) -> tuple[int, int, int, int, float]:
-    """(core lo, core hi, folded lo, folded hi, gamma): all a region's
-    coverage and length depend on.  The folded bounds, taken with
-    probability gamma, are those of core ∪ boundary: the core's without a
-    boundary, the boundary's with an empty core."""
-    lo, hi, b = region.core_lo, region.core_hi, region.boundary
-    if not b:
-        return lo, hi, lo, hi, region.boundary_prob
-    if hi < lo:
-        return lo, hi, b[0], b[-1], region.boundary_prob
-    return lo, hi, min(lo, b[0]), max(hi, b[-1]), region.boundary_prob
-
-
 def build_smallest(pmf: EstimatedPmf, alpha: float) -> PredictionRegion:
     """The smallest-cardinality region before the randomizer is applied.
 
@@ -369,38 +370,38 @@ def build_smallest(pmf: EstimatedPmf, alpha: float) -> PredictionRegion:
     _check_alpha(alpha)
     order, core_end, boundary_end, gamma = _group_scan(np.asarray(pmf.log_mass), 1.0 - alpha)
     core = order[:core_end]
-    boundary = tuple(sorted(order[core_end:boundary_end].tolist()))
     core_lo, core_hi = (int(core.min()), int(core.max())) if core_end else (0, -1)
-    region = PredictionRegion(
+    vals = order[core_end:boundary_end].tolist() + ([core_lo, core_hi] if core_end else [])
+    lo, hi = (min(vals), max(vals)) if vals else (core_lo, core_hi)
+    # values are distinct, so a set fills its hull when the counts match
+    if core_end != core_hi - core_lo + 1 or boundary_end != hi - lo + 1:
+        raise DomainError(f"the smallest region at alpha={alpha!r} is not an interval: "
+                          f"{core_end} core values within {core_lo}..{core_hi}, "
+                          f"{boundary_end} with the boundary within {lo}..{hi}")
+    return PredictionRegion(
         core_lo=core_lo,
         core_hi=core_hi,
-        boundary=boundary,
+        folded_lo=lo,
+        folded_hi=hi,
         boundary_prob=float(gamma),
         realized_lo=core_lo,
         realized_hi=core_hi,
         level=1.0 - alpha,
         length=float(max(0, core_hi - core_lo)),
     )
-    _, _, lo, hi, _ = _region_row(region)
-    # values are distinct, so a set fills its hull when the counts match
-    if core_end != core_hi - core_lo + 1 or core_end + len(boundary) != hi - lo + 1:
-        raise DomainError(f"the smallest region at alpha={alpha!r} is not an interval: "
-                          f"{core_end} core values within {core_lo}..{core_hi}, "
-                          f"{core_end + len(boundary)} with the boundary within {lo}..{hi}")
-    return region
 
 
 def realize(region: PredictionRegion, u: float) -> PredictionRegion:
-    """Apply the uniform draw u to a region from build_smallest.
+    """Apply the uniform draw u to a region.
 
-    The boundary is included when u <= boundary_prob; otherwise the
-    region is returned as built.
+    The realized bounds become the folded ones, the boundary included,
+    when u <= boundary_prob; otherwise the region is returned as built.
     """
     if not 0.0 <= u <= 1.0:
         raise DomainError(f"u must lie in [0, 1], got {u}")
-    if not region.boundary or u > region.boundary_prob:
+    lo, hi = region.folded_lo, region.folded_hi
+    if u > region.boundary_prob or (lo, hi) == (region.core_lo, region.core_hi):
         return region
-    _, _, lo, hi, _ = _region_row(region)
     return replace(region, realized_lo=lo, realized_hi=hi,
                    length=float(max(0, hi - lo)))
 
@@ -420,11 +421,11 @@ def region_nonrandomized(region: PredictionRegion) -> PredictionRegion:
     The result covers at least the nominal level under the pmf the
     region was built from, at the price of the randomized exactness.
     """
-    if not region.boundary:
+    lo, hi = region.folded_lo, region.folded_hi
+    if (lo, hi) == (region.core_lo, region.core_hi):
         return region
-    _, _, lo, hi, _ = _region_row(region)
     return PredictionRegion(
-        core_lo=lo, core_hi=hi, boundary=(), boundary_prob=0.0,
+        core_lo=lo, core_hi=hi, folded_lo=lo, folded_hi=hi, boundary_prob=0.0,
         realized_lo=lo, realized_hi=hi, level=region.level,
         length=float(hi - lo))
 
@@ -438,7 +439,7 @@ def _interval_region(lower: float, upper: float, alpha: float) -> PredictionRegi
     if hi < lo:
         lo, hi = 0, -1
     return PredictionRegion(
-        core_lo=lo, core_hi=hi, boundary=(), boundary_prob=0.0,
+        core_lo=lo, core_hi=hi, folded_lo=lo, folded_hi=hi, boundary_prob=0.0,
         realized_lo=lo, realized_hi=hi, level=1.0 - alpha,
         length=float(upper - lower))
 
@@ -511,17 +512,18 @@ def exact_region_properties(region: PredictionRegion, lam: float) -> tuple[float
 
 def exact_region_properties_batch(regions, lams) -> list[tuple[float, float]]:
     """``exact_region_properties`` of each region under its rate, from its
-    ``_region_row``, with the cdfs at every core's bounds taken in one
+    ``row``, with the cdfs at every core's bounds taken in one
     ``poisson_cdf`` call; an empty core reads one cdf twice, so 0."""
     if any(lam <= 0 for lam in lams):
         raise DomainError(f"exact_region_properties requires lam > 0, got {min(lams)}")
-    rows = [_region_row(r) for r in regions]
+    rows = [r.row for r in regions]
     cdf = poisson_cdf([hi for _, hi, *_ in rows] + [lo - 1 for lo, *_ in rows],
                       [*lams, *lams]).tolist()
     out = []
     for region, lam, (lo, hi, flo, fhi, gamma), at_hi, below_lo in zip(
             regions, lams, rows, cdf, cdf[len(rows):]):
-        bound_mass = sum(math.exp(poisson_log_pmf(k, lam)) for k in region.boundary)
+        bound_mass = 0 if (flo, fhi) == (lo, hi) else sum(
+            math.exp(poisson_log_pmf(k, lam)) for k in region.boundary)
         out.append((at_hi - below_lo + gamma * bound_mass,
                     gamma * float(max(0, fhi - flo)) + (1.0 - gamma) * float(max(0, hi - lo))))
     return out

@@ -24,7 +24,7 @@ sufficient statistic T and the uniform draw u, and u only decides
 whether a region's boundary group is included.  A run therefore draws
 (T, y0, u) for every replication first, then builds the six regions
 once per distinct T of the whole run and keeps a table row per T and
-region, ``regions._region_row``: the bounds without and with the
+region, its ``PredictionRegion.row``: the bounds without and with the
 boundary and its inclusion probability gamma.  Coverage and length of
 every replication are read from its total's row in one vectorized
 step.  A row depends only on (n, T, alpha), so the results stay the
@@ -53,7 +53,6 @@ from .glm import _variant_region, fit, rate_and_variance
 from .regions import (
     _check_alpha,
     _check_enumerable,
-    _region_row,
     _taylor_from_plugin,
     build_smallest,
     hyper_from_mean_sd,
@@ -313,7 +312,7 @@ def _intercept_draws(args):
 def _score(rows, u, y0):
     """Covers and realized lengths from per-replication region rows.
 
-    ``rows[j, i]`` holds the _region_row of region i in replication j; a
+    ``rows[j, i]`` holds the row of region i in replication j; a
     replication takes the folded bounds where its uniform draw u is at
     most gamma.  Bounds are floats: an interval bound is the ceiling or
     floor of a float, so it is exact there, and it may lie past the int64
@@ -333,12 +332,12 @@ def _score(rows, u, y0):
 
 
 def _intercept_table(args):
-    """The _region_row of each region, per total."""
+    """The row of each region, per total."""
     n, totals, alpha = args
     rows = np.empty((totals.size, 6, 5))
     for j, t in enumerate(totals):
         for i, r in enumerate(_intercept_regions(n, int(t), alpha)):
-            rows[j, i] = _region_row(r)
+            rows[j, i] = r.row
     return rows
 
 
@@ -363,7 +362,7 @@ def _regression_chunk(args):
     """Covers, realized lengths and redraws of replications start..stop-1.
 
     Each replication is fitted on the rows it was drawn from and keeps its
-    three regions as _region_row rows; all are scored in one step.
+    three regions' rows; all are scored in one step.
     """
     seed, start, stop, n, p, theta, w_dist, alpha = args
     m = stop - start
@@ -384,7 +383,7 @@ def _regression_chunk(args):
                 continue
             break
         redraws += rd
-        rows[j] = [_region_row(r) for r in regs]
+        rows[j] = [r.row for r in regs]
     return _score(rows, u, y0) + (redraws,)
 
 
@@ -421,6 +420,7 @@ def _chunk_bounds(start: int, stop: int):
 def _check_run(config: SimConfig) -> None:
     """The checks both scenarios share; _rep_rngs needs the seed and the
     replication numbers to be nonnegative and the latter below 2**32."""
+    _check_alpha(config.alpha)
     if config.replications < 1 or config.n < 1:
         raise DomainError("replications and n must be >= 1")
     if config.replications >= 2**32:
@@ -451,7 +451,6 @@ def run_regression_experiment(config: SimConfig) -> SimResult:
     if config.scenario != "regression":
         raise DomainError("config.scenario must be 'regression'")
     _check_run(config)
-    _check_alpha(config.alpha)
     p, theta, w_dist = _resolve_regression(config)
     args = [(config.seed, s, e, config.n, p, theta, w_dist, config.alpha)
             for s, e in _chunk_bounds(0, config.replications)]

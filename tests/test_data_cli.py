@@ -442,6 +442,14 @@ def test_predict_forecast_and_sweep_refuse_fewer_than_k_plus_2_observations(cuto
         f"{cutoff},{parse_ecdc_csv(fixture, 'US').cumulative_to(cutoff)},,,,,{want}")
 
 
+@pytest.mark.parametrize("variant", ["smallest-plugin", "normal", "sqrt", "overdispersed"])
+def test_predict_refuses_u_outside_the_unit_interval(series_csv, capsys, variant):
+    code = run_cli(["predict", "--data", series_csv, "--country", "Testland",
+                    "--order", "2", "--daynum", "122", "--variant", variant, "--u", "7"])
+    assert code == 1
+    assert "u must lie in [0, 1], got 7.0" in capsys.readouterr().err
+
+
 def test_cli_simulate_csv(tmp_path):
     out = tmp_path / "sim.csv"
     code = run_cli(["simulate", "--scenario", "intercept", "--n", "5",

@@ -12,6 +12,7 @@ from countpred import (
     AdjustmentError,
     DailyRecord,
     DailySeries,
+    DataError,
     DesignSpec,
     DomainError,
     HorizonError,
@@ -191,6 +192,19 @@ def test_sweep_collects_errors():
                              [series.first_daynum() + 3, series.last_daynum()])
     assert rows[0].error is not None and rows[0].result is None
     assert rows[1].error is None
+
+
+@pytest.mark.parametrize("cutoff", [186, 250])
+def test_sweep_refuses_cutoffs_after_the_last_observed_day(cutoff):
+    series = parse_ecdc_csv(FIXTURE, country="US")
+    design = DesignSpec(poly_order=5, include_day_factor=True, standardize=True)
+    want = f"cutoff {cutoff} is after the last observed day 185"
+    with pytest.raises(DataError, match=want):
+        _fit_for_cutoff(series, design, cutoff, True)
+    rows = sensitivity_sweep(series, design, 199, 0.05, [185, cutoff])
+    assert rows[0].error is None and rows[0].result.horizon_days == 14
+    assert (rows[1].cutoff_daynum, rows[1].result, rows[1].error) == (cutoff, None, want)
+    assert rows[1].s_current == series.total()
 
 
 def test_overdispersed_forecast_independent_of_basis():

@@ -124,8 +124,17 @@ def test_package_pmfs_give_interval_regions(n, t, lam, alpha):
         kept = region_core_as_set(region) | set(region.boundary)
         hull = set(range(min(kept), max(kept) + 1))
         assert kept == hull
+        lo, hi, flo, fhi, gamma = region.row
+        assert region.row == (region.core_lo, region.core_hi, region.folded_lo,
+                              region.folded_hi, region.boundary_prob)
+        assert region.boundary == tuple(k for k in range(flo, fhi + 1) if not lo <= k <= hi)
+        for u in (0.0, gamma, min(1.0, math.nextafter(gamma, 2.0)), 1.0):
+            r = regions.realize(region, u)
+            want = (flo, fhi) if region.boundary and u <= gamma else (lo, hi)
+            assert (r.realized_lo, r.realized_hi) == want, u
         folded = region_nonrandomized(region)
         assert region_core_as_set(folded) == hull
+        assert folded.row == (flo, fhi, flo, fhi, 0.0)
 
 
 @pytest.mark.parametrize("masses, alpha", [
@@ -133,7 +142,7 @@ def test_package_pmfs_give_interval_regions(n, t, lam, alpha):
     ((0.30, 0.02, 0.02, 0.30, 0.36), 0.1),     # core {4}, boundary {0, 3}
 ])
 def test_smallest_region_of_a_pmf_with_a_gap_is_refused(masses, alpha):
-    pmf = regions.EstimatedPmf(np.log(np.array(masses)), len(masses) - 1)
+    pmf = regions.EstimatedPmf(np.log(np.array(masses)))
     with pytest.raises(DomainError, match="not an interval"):
         regions.build_smallest(pmf, alpha)
 
@@ -191,11 +200,30 @@ def direct_coverage(region, lam):
     return core + region.boundary_prob * bound
 
 
+# an empty core (the batch reads the cdf at 2 twice: 0 core mass) whose
+# folded interval is {3}
+EMPTY_CORE = PredictionRegion(core_lo=3, core_hi=2, folded_lo=3, folded_hi=3,
+                              boundary_prob=0.4, realized_lo=3, realized_hi=2,
+                              level=0.9, length=0.0)
+
+
+def test_exact_coverage_mixes_the_core_and_folded_intervals():
+    # The Monte Carlo scores a row as its core, or its folded interval
+    # with probability gamma; the exact coverage is that mixture.
+    def mass(lo, hi, lam):
+        return poisson_cdf(hi, lam) - poisson_cdf(lo - 1, lam) if hi >= lo else 0.0
+
+    for lam in (0.05, 0.3, 0.9, 4.0, 17.5, 250.0):
+        for region in [EMPTY_CORE] + exact_props_regions(lam, 0.05) + \
+                exact_props_regions(lam, 0.01):
+            lo, hi, flo, fhi, gamma = region.row
+            want = (1.0 - gamma) * mass(lo, hi, lam) + gamma * mass(flo, fhi, lam)
+            assert exact_region_properties(region, lam)[0] == \
+                pytest.approx(want, rel=1e-12), (region, lam)
+
+
 def test_exact_properties_batch_equals_direct_formula():
-    # the batch reads the cdf at 2 twice for this empty core: 0 core mass
-    empty = PredictionRegion(core_lo=3, core_hi=2, boundary=(3,), boundary_prob=0.4,
-                             realized_lo=3, realized_hi=2, level=0.9, length=0.0)
-    pool = [empty]
+    pool = [EMPTY_CORE]
     for lam in (0.05, 0.3, 0.9, 4.0, 17.5, 250.0):
         pool += exact_props_regions(lam, 0.05) + exact_props_regions(lam, 0.01)
     # every region at every rate, rates interleaved, in one batch and one by one
@@ -281,7 +309,7 @@ def wide_support_pmf(lam):
     rel = np.zeros(hi + 1)
     rel[:hi] = -np.cumsum(np.log(lam / np.arange(hi, 0, -1.0)))[::-1]
     rel -= rel.max()
-    return regions.EstimatedPmf(rel - math.log(np.exp(rel).sum()), hi)
+    return regions.EstimatedPmf(rel - math.log(np.exp(rel).sum()))
 
 
 @pytest.mark.parametrize("alpha", [1e-9, 1e-4, 0.01, 0.05, 0.5])
@@ -535,7 +563,7 @@ def test_poisson_support_ends_at_its_first_bound():
         if lam <= 1e5:
             # The pmf on the cut gives the same regions.
             for alpha in (0.01, 0.05, 0.1):
-                assert regions.build_smallest(regions.EstimatedPmf(short, cut), alpha) == \
+                assert regions.build_smallest(regions.EstimatedPmf(short), alpha) == \
                     regions.build_smallest(pmf, alpha), (lam, alpha)
             continue
         # Sorting a support past 1e5 takes 10-50 ms, so here the regions
@@ -651,7 +679,7 @@ def pinned_region(lower, upper, alpha):
     if hi < lo:
         lo, hi = 0, -1
     return PredictionRegion(
-        core_lo=lo, core_hi=hi, boundary=(), boundary_prob=0.0,
+        core_lo=lo, core_hi=hi, folded_lo=lo, folded_hi=hi, boundary_prob=0.0,
         realized_lo=lo, realized_hi=hi, level=1.0 - alpha,
         length=float(upper - lower))
 

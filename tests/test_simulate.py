@@ -326,6 +326,17 @@ def test_intercept_refuses_totals_past_the_enumeration_cap(monkeypatch, lam):
         run_intercept_experiment(intercept_config(n=10, lam=lam, replications=300))
 
 
+@pytest.mark.parametrize("scenario", [dict(scenario="intercept", lam=100.0),
+                                      dict(scenario="regression", case=1)])
+@pytest.mark.parametrize("alpha", [2.0, 0.0])
+def test_run_refuses_alpha_before_drawing(monkeypatch, scenario, alpha):
+    drawn = lambda *args: pytest.fail("replications were drawn")  # noqa: E731
+    monkeypatch.setattr(simulate, "_intercept_reps", drawn)
+    monkeypatch.setattr(simulate, "_regression_chunk", drawn)
+    with pytest.raises(DomainError, match="alpha"):
+        run_experiment(SimConfig(n=100, replications=10, alpha=alpha, seed=1, **scenario))
+
+
 def test_intercept_runs_at_the_largest_admitted_scale():
     # n*lam + 10 sd = 999,950: every total is enumerated, up to about 1e6.
     res = run_intercept_experiment(intercept_config(n=10, lam=99_000.0, replications=2))
