@@ -62,14 +62,14 @@ from .glm import (
     rate_and_variance,
     residual_diagnostics,
 )
-from .overdispersion import estimate_xi, fit_overdispersed, region_overdispersed
+from .overdispersion import _rate_and_count_variance, estimate_xi, fit_overdispersed
 from .regions import (
     _check_alpha,
-    build_smallest,
-    exact_region_properties_batch,
+    _exact_rows,
+    _normal_interval,
+    _scan_rows,
     pmf_poisson,
     realize,
-    region_nonrandomized,
     region_normal_known,
     region_sqrt_known,
 )
@@ -290,11 +290,14 @@ def _cmd_predict(args) -> int:
     for daynum, x0 in zip(daynums, _design_rows(np.array(daynums, float), labels, spec)):
         lam0, vhat = rate_and_variance(base, x0)
         if over is not None:
-            region = region_overdispersed(over, x0, args.alpha)
+            rate, count_variance = _rate_and_count_variance(over, x0)
+            region = _normal_interval(rate, count_variance, args.alpha)
         else:
+            count_variance = lam0 * vhat
             region = _variant_region(lam0, vhat, args.alpha, args.variant)
         region = realize(region, args.u)
         rows.append({"daynum": daynum, "rate": lam0, "variance_factor": vhat,
+                     "count_variance": count_variance,
                      "variant": args.variant, "lower": region.realized_lo,
                      "upper": region.realized_hi,
                      "core": [region.core_lo, region.core_hi],
@@ -415,15 +418,16 @@ def _cmd_exact_props(args) -> int:
     lams = _parse_values(args.lambda_grid, float)
     for start in range(0, len(lams), _EXACT_BATCH):
         batch = lams[start:start + _EXACT_BATCH]
-        regions = []
-        for lam in batch:
-            randomized = build_smallest(pmf_poisson(lam), args.alpha)
-            regions += (randomized, region_nonrandomized(randomized),
-                        region_normal_known(lam, args.alpha), region_sqrt_known(lam, args.alpha))
-        props = exact_region_properties_batch(regions, [lam for lam in batch for _ in range(4)])
-        for row, lam in enumerate(batch):
-            cells = [repr(v) for cov_len in props[4 * row:4 * row + 4] for v in cov_len]
-            lines.append(",".join([repr(lam)] + cells))
+        rows = np.empty((len(batch), 4, 5))
+        rows[:, 0] = _scan_rows((pmf_poisson(lam) for lam in batch), args.alpha)
+        # the nonrandomized region is the folded interval, always included
+        rows[:, 1, 0:2] = rows[:, 1, 2:4] = rows[:, 0, 2:4]
+        rows[:, 1, 4] = 0.0
+        rows[:, 2] = [region_normal_known(lam, args.alpha).row for lam in batch]
+        rows[:, 3] = [region_sqrt_known(lam, args.alpha).row for lam in batch]
+        props = _exact_rows(rows.reshape(-1, 5), np.repeat(batch, 4))
+        for lam, cells in zip(batch, props.reshape(-1, 8).tolist()):
+            lines.append(",".join(map(repr, [lam, *cells])))
     _emit("\n".join(lines), args.out)
     return 0
 

@@ -9,6 +9,12 @@ with the nonnegative integers.  Every region is an interval of counts,
 and so is its core with the boundary folded in; ``build_smallest``
 raises DomainError for a pmf whose most probable values are not.
 
+Smallest regions are built in bulk: ``_scan_rows`` stacks consecutive
+pmfs into -inf-padded blocks of at most ``_SCAN_CELLS`` cells, sorts and
+sums each block in one pass, and returns every region as its row (core
+lo, core hi, folded lo, folded hi, gamma); ``build_smallest`` is its
+one-pmf case.  ``_exact_rows`` scores such rows under known rates.
+
 Estimated-rate variants plug a pmf estimate into the same machinery:
 plug-in maximum likelihood, a second-order Taylor correction, the
 unbiased (binomial) estimator, and a gamma-prior predictive.  All pmfs
@@ -88,8 +94,7 @@ class PredictionRegion:
     @property
     def boundary(self) -> tuple[int, ...]:
         """The folded values outside the core, ascending."""
-        lo, hi, flo, fhi, _ = self.row
-        return (*range(flo, min(lo, fhi + 1)), *range(max(hi + 1, flo), fhi + 1))
+        return _boundary(self.core_lo, self.core_hi, self.folded_lo, self.folded_hi)
 
     @property
     def row(self) -> tuple[int, int, int, int, float]:
@@ -98,6 +103,11 @@ class PredictionRegion:
 
     def realized_contains(self, k: int) -> bool:
         return self.realized_lo <= k <= self.realized_hi
+
+
+def _boundary(lo: int, hi: int, flo: int, fhi: int) -> tuple[int, ...]:
+    """The values of folded_lo..folded_hi outside core_lo..core_hi, ascending."""
+    return (*range(flo, min(lo, fhi + 1)), *range(max(hi + 1, flo), fhi + 1))
 
 
 @dataclass(frozen=True)
@@ -323,37 +333,101 @@ def mom_gamma(y) -> tuple[float, float]:
     return kappa, beta
 
 
-def _group_scan(log_mass: np.ndarray, target: float):
-    """Sort masses descending, group ties, and split core/boundary.
+# Float64 cells of one block of _scan_rows (1 MB): consecutive pmfs share a
+# block while its rows times its widest row stay within this.
+_SCAN_CELLS = 1 << 17
 
-    Returns (order, core_end, boundary_end, gamma): ``order`` lists the
-    values of positive mass most probable first (ties in value order),
-    ``order[:core_end]`` is the core, ``order[core_end:boundary_end]``
-    the boundary group and gamma its inclusion probability.
+
+def _scan_rows(pmfs, alpha: float) -> np.ndarray:
+    """The row (core lo, core hi, folded lo, folded hi, gamma) of the
+    smallest region of each pmf of the iterable ``pmfs``, in input order,
+    as an (m, 5) float array.
+
+    Consecutive pmfs are stacked into blocks padded with -inf, a block
+    closing before its rows times its widest row would pass
+    ``_SCAN_CELLS``; a pmf wider than that is a block on its own.  So a
+    generator of pmfs is held only a block at a time.  See
+    ``build_smallest`` for the region and its DomainError.
     """
-    order = np.argsort(-log_mass, kind="stable")
-    slog = log_mass[order]
-    npos = int(np.count_nonzero(slog > -np.inf))
-    if npos == 0:
-        return order[:0], 0, 0, 0.0
-    slog = slog[:npos]
-    order = order[:npos]
-    gaps = slog[:-1] - slog[1:]
-    tol = TIE_RTOL * np.maximum(1.0, np.abs(slog[:-1]))
-    ends = np.flatnonzero(np.append(gaps > tol, True))
-    cum = np.cumsum(np.exp(slog))
-    group_cum = cum[ends]
+    _check_alpha(alpha)
+    rows, pending, width = [], [], 0
+    for pmf in pmfs:
+        log_mass = np.asarray(pmf.log_mass)
+        if pending and (len(pending) + 1) * max(width, log_mass.size) > _SCAN_CELLS:
+            rows += _scan_block(pending, width, alpha)
+            pending, width = [], 0
+        pending.append(log_mass)
+        width = max(width, log_mass.size)
+    if pending:
+        rows += _scan_block(pending, width, alpha)
+    return np.array(rows, dtype=np.float64).reshape(-1, 5)
+
+
+def _scan_block(log_masses, width: int, alpha: float) -> list:
+    """The rows of ``_scan_rows`` for one block of log-mass arrays.
+
+    Each row of the block is sorted by mass, most probable first (ties in
+    value order, by one stable argsort), and its masses summed in that
+    order, by one exp and cumsum.  The first position whose running total
+    passes the target lies in the boundary group: its tie group, the run
+    of neighbours within ``TIE_RTOL`` of each other, which a short walk
+    from that position finds.  The values before the group form the core;
+    its bounds and those of the folded region are running minima and
+    maxima of the sorted values.  Padding sorts last with mass 0, and
+    the walk reads Python floats, so no -inf meets -inf in numpy.
+    """
+    if len(log_masses) == 1 and width:
+        block = log_masses[0][None, :]
+    else:
+        block = np.full((len(log_masses), max(width, 1)), -np.inf)
+        for i, log_mass in enumerate(log_masses):
+            block[i, :log_mass.size] = log_mass
+    m, w = block.shape
+    target = 1.0 - alpha
+    order = np.argsort(-block, axis=1, kind="stable")
+    slog = block[np.arange(m)[:, None], order]
+    cum = np.exp(slog).cumsum(axis=1)
     # A group joins the core while the running total stays within the
     # target; the first group that would overshoot becomes the boundary.
-    ncore = int(np.searchsorted(group_cum, target + 1e-15, side="right"))
-    if ncore >= len(ends):
-        return order, npos, npos, 0.0
-    core_end = ends[ncore - 1] + 1 if ncore > 0 else 0
-    cum_before = float(group_cum[ncore - 1]) if ncore > 0 else 0.0
-    gsum = float(group_cum[ncore] - cum_before)
-    gamma = (target - cum_before) / gsum if gsum > 0 else 0.0
-    gamma = min(1.0, max(0.0, gamma))
-    return order, int(core_end), int(ends[ncore]) + 1, gamma
+    past = target + 1e-15
+    sorted_at = slog.item
+    spans, reach = [], 1
+    for i, first in enumerate((cum > past).argmax(axis=1).tolist()):
+        if cum.item(i, first) > past:
+            core_end, end = first, first + 1
+            while core_end and _tied(sorted_at(i, core_end - 1), sorted_at(i, core_end)):
+                core_end -= 1
+            while end < w and _tied(sorted_at(i, end - 1), sorted_at(i, end)):
+                end += 1
+            before = cum.item(i, core_end - 1) if core_end else 0.0
+            gsum = cum.item(i, end - 1) - before
+            gamma = min(1.0, max(0.0, (target - before) / gsum if gsum > 0 else 0.0))
+        else:
+            core_end = end = int(np.count_nonzero(slog[i] > -np.inf))
+            gamma = 0.0
+        spans.append((core_end, end, gamma))
+        reach = max(reach, end)
+    # bounds of the values sorted before each position, as far as any region reaches
+    lo_run = np.minimum.accumulate(order[:, :reach], axis=1)
+    hi_run = np.maximum.accumulate(order[:, :reach], axis=1)
+    rows = []
+    for i, (core_end, end, gamma) in enumerate(spans):
+        lo, hi = (lo_run.item(i, core_end - 1), hi_run.item(i, core_end - 1)) if core_end \
+            else (0, -1)
+        flo, fhi = (lo_run.item(i, end - 1), hi_run.item(i, end - 1)) if end else (lo, hi)
+        # values are distinct, so a set fills its hull when the counts match
+        if core_end != hi - lo + 1 or end != fhi - flo + 1:
+            raise DomainError(f"the smallest region at alpha={alpha!r} is not an interval: "
+                              f"{core_end} core values within {lo}..{hi}, "
+                              f"{end} with the boundary within {flo}..{fhi}")
+        rows.append((lo, hi, flo, fhi, gamma))
+    return rows
+
+
+def _tied(higher: float, lower: float) -> bool:
+    """Whether neighbouring sorted log-masses are tied: apart by at most
+    ``TIE_RTOL`` relative to the larger; false when the lower is -inf."""
+    return higher - lower <= TIE_RTOL * max(1.0, abs(higher))
 
 
 def build_smallest(pmf: EstimatedPmf, alpha: float) -> PredictionRegion:
@@ -366,28 +440,20 @@ def build_smallest(pmf: EstimatedPmf, alpha: float) -> PredictionRegion:
     of the core alone; ``realize`` applies a uniform draw.  Raises
     DomainError unless the core and core ∪ boundary are both intervals,
     as they are for every unimodal pmf, each one this package builds.
+    The one-pmf case of ``_scan_rows``.
     """
-    _check_alpha(alpha)
-    order, core_end, boundary_end, gamma = _group_scan(np.asarray(pmf.log_mass), 1.0 - alpha)
-    core = order[:core_end]
-    core_lo, core_hi = (int(core.min()), int(core.max())) if core_end else (0, -1)
-    vals = order[core_end:boundary_end].tolist() + ([core_lo, core_hi] if core_end else [])
-    lo, hi = (min(vals), max(vals)) if vals else (core_lo, core_hi)
-    # values are distinct, so a set fills its hull when the counts match
-    if core_end != core_hi - core_lo + 1 or boundary_end != hi - lo + 1:
-        raise DomainError(f"the smallest region at alpha={alpha!r} is not an interval: "
-                          f"{core_end} core values within {core_lo}..{core_hi}, "
-                          f"{boundary_end} with the boundary within {lo}..{hi}")
+    lo, hi, flo, fhi, gamma = _scan_rows([pmf], alpha)[0].tolist()
+    lo, hi = int(lo), int(hi)
     return PredictionRegion(
-        core_lo=core_lo,
-        core_hi=core_hi,
-        folded_lo=lo,
-        folded_hi=hi,
-        boundary_prob=float(gamma),
-        realized_lo=core_lo,
-        realized_hi=core_hi,
+        core_lo=lo,
+        core_hi=hi,
+        folded_lo=int(flo),
+        folded_hi=int(fhi),
+        boundary_prob=gamma,
+        realized_lo=lo,
+        realized_hi=hi,
         level=1.0 - alpha,
-        length=float(max(0, core_hi - core_lo)),
+        length=float(max(0, hi - lo)),
     )
 
 
@@ -511,19 +577,40 @@ def exact_region_properties(region: PredictionRegion, lam: float) -> tuple[float
 
 
 def exact_region_properties_batch(regions, lams) -> list[tuple[float, float]]:
-    """``exact_region_properties`` of each region under its rate, from its
-    ``row``, with the cdfs at every core's bounds taken in one
-    ``poisson_cdf`` call; an empty core reads one cdf twice, so 0."""
-    if any(lam <= 0 for lam in lams):
-        raise DomainError(f"exact_region_properties requires lam > 0, got {min(lams)}")
-    rows = [r.row for r in regions]
-    cdf = poisson_cdf([hi for _, hi, *_ in rows] + [lo - 1 for lo, *_ in rows],
-                      [*lams, *lams]).tolist()
-    out = []
-    for region, lam, (lo, hi, flo, fhi, gamma), at_hi, below_lo in zip(
-            regions, lams, rows, cdf, cdf[len(rows):]):
-        bound_mass = 0 if (flo, fhi) == (lo, hi) else sum(
-            math.exp(poisson_log_pmf(k, lam)) for k in region.boundary)
-        out.append((at_hi - below_lo + gamma * bound_mass,
-                    gamma * float(max(0, fhi - flo)) + (1.0 - gamma) * float(max(0, hi - lo))))
-    return out
+    """``exact_region_properties`` of each region under its rate: the
+    ``_exact_rows`` of the regions' rows."""
+    return list(map(tuple, _exact_rows([r.row for r in regions], lams).tolist()))
+
+
+def _exact_rows(rows, lams) -> np.ndarray:
+    """Exact (coverage, expected length) of each region row under its
+    Poisson rate, as an (m, 2) array.
+
+    The cdfs at every core's bounds come from one ``poisson_cdf`` call
+    over the distinct (bound, rate) pairs, each taken once; an empty
+    core reads one cdf twice, so 0.  The boundary mass sums the pmf over
+    the folded values outside the core.  DomainError unless there is
+    one rate per row and every rate is above 0.
+    """
+    rows = np.asarray(rows, dtype=np.float64).reshape(-1, 5)
+    lams = np.asarray(lams, dtype=np.float64).ravel()
+    if lams.size != len(rows):
+        raise DomainError(f"exact_region_properties needs one rate per region, got "
+                          f"{len(rows)} regions and {lams.size} rates")
+    bad = np.flatnonzero(~(lams > 0))
+    if bad.size:
+        raise DomainError(f"exact_region_properties requires lam > 0, got {lams.item(bad[0])!r}")
+    lo, hi, flo, fhi, gamma = rows.T
+    # each (bound, rate) pair as one complex number, which np.unique sorts
+    # by bound, then rate
+    pairs, which = np.unique(np.concatenate([hi, lo - 1.0]) + 1j * np.concatenate([lams, lams]),
+                             return_inverse=True)
+    cdf = poisson_cdf(pairs.real, pairs.imag)[which]
+    bound_mass = np.zeros(len(rows))
+    for j in np.flatnonzero((flo != lo) | (fhi != hi)).tolist():
+        lam = lams.item(j)
+        bound_mass[j] = sum(math.exp(poisson_log_pmf(k, lam))
+                            for k in _boundary(*map(int, rows[j, :4].tolist())))
+    return np.stack([cdf[:len(rows)] - cdf[len(rows):] + gamma * bound_mass,
+                     gamma * np.maximum(0.0, fhi - flo)
+                     + (1.0 - gamma) * np.maximum(0.0, hi - lo)], axis=1)

@@ -25,10 +25,12 @@ whether a region's boundary group is included.  A run therefore draws
 (T, y0, u) for every replication first, then builds the six regions
 once per distinct T of the whole run and keeps a table row per T and
 region, its ``PredictionRegion.row``: the bounds without and with the
-boundary and its inclusion probability gamma.  Coverage and length of
-every replication are read from its total's row in one vectorized
-step.  A row depends only on (n, T, alpha), so the results stay the
-same for every worker count.
+boundary and its inclusion probability gamma.  The four smallest
+regions of every total come from one ``regions._scan_rows`` call over
+their pmfs, and the two intervals from their builders.  Coverage and
+length of every replication are read from its total's row in one
+vectorized step.  A row depends only on (n, T, alpha), so the results
+stay the same for every worker count.
 Regression replications are fitted one at a time, in fixed-size chunks;
 each keeps the same kind of row for its three regions, and a chunk is
 scored in one step.
@@ -53,8 +55,8 @@ from .glm import _variant_region, fit, rate_and_variance
 from .regions import (
     _check_alpha,
     _check_enumerable,
+    _scan_rows,
     _taylor_from_plugin,
-    build_smallest,
     hyper_from_mean_sd,
     pmf_gamma_predictive,
     pmf_plugin_ml,
@@ -282,21 +284,6 @@ def _draw_regression_instance(p, theta, w_dist, n, rng, redraws=0):
         return powers, y, y0, redraws
 
 
-def _intercept_regions(n: int, t: int, alpha: float):
-    """The six estimated-rate regions for total t, before the uniform draw."""
-    plugin = pmf_plugin_ml(n, t)
-    gam0 = build_smallest(plugin, alpha)
-    gam3 = build_smallest(_taylor_from_plugin(plugin, n, t), alpha) if t >= 1 else gam0
-    return (
-        gam0,
-        region_adjusted_normal(n, t, alpha),
-        region_adjusted_sqrt(n, t, alpha),
-        gam3,
-        build_smallest(pmf_umvue(n, t), alpha),
-        build_smallest(pmf_gamma_predictive(n, t, PRIOR_KAPPA, PRIOR_BETA), alpha),
-    )
-
-
 def _intercept_draws(args):
     """(t, y0, u) of each replication in start..stop-1, one row each."""
     seed, start, stop, n, lam = args
@@ -331,13 +318,31 @@ def _score(rows, u, y0):
     return covers, lengths
 
 
+# Where the four smallest regions sit in INTERCEPT_REGIONS: plug-in,
+# Taylor, UMVUE and gamma-predictive; Gam1 and Gam2 are intervals.
+_SMALLEST = [0, 3, 4, 5]
+
+
+def _smallest_pmfs(n: int, totals):
+    """The pmfs of the four smallest regions of each total, in _SMALLEST
+    order; at t = 0 the Taylor slot takes the plug-in pmf again."""
+    for t in totals:
+        plugin = pmf_plugin_ml(n, t)
+        yield plugin
+        yield _taylor_from_plugin(plugin, n, t) if t else plugin
+        yield pmf_umvue(n, t)
+        yield pmf_gamma_predictive(n, t, PRIOR_KAPPA, PRIOR_BETA)
+
+
 def _intercept_table(args):
-    """The row of each region, per total."""
+    """The row of each region, per total: one scan over every total's
+    smallest-region pmfs, the two intervals from their builders."""
     n, totals, alpha = args
-    rows = np.empty((totals.size, 6, 5))
-    for j, t in enumerate(totals):
-        for i, r in enumerate(_intercept_regions(n, int(t), alpha)):
-            rows[j, i] = r.row
+    ts = totals.tolist()
+    rows = np.empty((len(ts), 6, 5))
+    rows[:, _SMALLEST] = _scan_rows(_smallest_pmfs(n, ts), alpha).reshape(len(ts), 4, 5)
+    rows[:, 1] = [region_adjusted_normal(n, t, alpha).row for t in ts]
+    rows[:, 2] = [region_adjusted_sqrt(n, t, alpha).row for t in ts]
     return rows
 
 

@@ -450,6 +450,26 @@ def test_predict_refuses_u_outside_the_unit_interval(series_csv, capsys, variant
     assert "u must lie in [0, 1], got 7.0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("variant", ["overdispersed", "normal"])
+def test_predict_count_variance_gives_the_interval_width(capsys, variant):
+    # the normal interval rate +- z sd, its bounds rounded inward and the
+    # lower clipped at 0, with sd the square root of count_variance
+    fixture = str(Path(cli.__file__).parent / "fixtures" / "us_covid_deaths_ecdc.csv")
+    code, out, _ = run_captured(["predict", "--data", fixture, "--country", "US",
+                                 "--order", "5", "--day-factor", "--daynum", "100,150,180",
+                                 "--variant", variant], capsys)
+    assert code == 0
+    for row in json.loads(out)["predictions"]:
+        half = 1.959963984540054 * math.sqrt(row["count_variance"])
+        want = row["rate"] + half - max(0.0, row["rate"] - half)
+        assert want - 2.0 < row["upper"] - row["lower"] <= want, row
+        poisson = row["rate"] * row["variance_factor"]
+        if variant == "normal":
+            assert row["count_variance"] == poisson
+        else:       # the frailty term: about 105 rates at day 150
+            assert row["count_variance"] > 50.0 * poisson
+
+
 def test_cli_simulate_csv(tmp_path):
     out = tmp_path / "sim.csv"
     code = run_cli(["simulate", "--scenario", "intercept", "--n", "5",
@@ -769,8 +789,8 @@ def test_cli_predict_computes_each_rate_once(series_csv, monkeypatch, capsys, va
         lam0, vhat = rate_and_variance(base, x0)
         region = region_regression(base, x0, 0.1, variant, float(u))
         expected.append({"daynum": daynum, "rate": lam0, "variance_factor": vhat,
-                         "variant": variant, "lower": region.realized_lo,
-                         "upper": region.realized_hi,
+                         "count_variance": lam0 * vhat, "variant": variant,
+                         "lower": region.realized_lo, "upper": region.realized_hi,
                          "core": [region.core_lo, region.core_hi],
                          "boundary": list(region.boundary),
                          "boundary_prob": region.boundary_prob,

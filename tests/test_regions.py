@@ -1,13 +1,14 @@
 """Region construction against a brute-force enumeration oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.stats as st
 from hypothesis import example, given, settings, strategies as hs
 
-from countpred import cli, glm, regions
+from countpred import cli, glm, regions, simulate
 from countpred import (
     DomainError,
     MomentFailure,
@@ -270,10 +271,11 @@ def test_exact_props_takes_every_region_bound_cdf_in_one_call(monkeypatch, capsy
     assert len(capsys.readouterr().out.splitlines()) == 2 + 100
     bounds = [(m, lam) for lam in _parse_values("0.05:5:0.05", float)
               for r in exact_props_regions(lam, 0.05) for m in (r.core_hi, r.core_lo - 1)]
-    # one array call for the command, one element per bound
+    # one array call for the command, one element per distinct bound
     assert len(calls) == 1
-    ms, lams = calls[0]
-    assert sorted(zip(ms, lams)) == sorted(bounds)
+    pairs = list(zip(*(np.asarray(v).tolist() for v in calls[0])))
+    assert len(pairs) == len(set(pairs)) < len(bounds)
+    assert set(pairs) == set(bounds)
 
 
 def test_exact_props_randomized_coverage_at_a_large_rate(capsys):
@@ -282,6 +284,168 @@ def test_exact_props_randomized_coverage_at_a_large_rate(capsys):
     header, row = capsys.readouterr().out.splitlines()[1:]
     cells = dict(zip(header.split(","), row.split(",")))
     assert float(cells["Gam0R_coverage"]) == pytest.approx(0.95, abs=1e-8)
+
+
+def test_exact_scorer_refuses_mismatched_lengths_and_unusable_rates():
+    pool = exact_props_regions(3.0, 0.05)
+    with pytest.raises(DomainError, match="one rate per region, got 4 regions and 3 rates"):
+        regions.exact_region_properties_batch(pool, [3.0, 3.0, 3.0])
+    with pytest.raises(DomainError, match="one rate per region, got 1 regions and 2 rates"):
+        regions._exact_rows([pool[0].row], [3.0, 3.0])
+    for bad in (float("nan"), 0.0, -2.0):
+        with pytest.raises(DomainError, match=f"requires lam > 0, got {bad!r}"):
+            regions.exact_region_properties_batch(pool, [3.0, bad, 3.0, 3.0])
+
+
+# ------------------------------------------------ one scan, block by block
+
+
+def reference_row(pmf, alpha):
+    """The row of the smallest region by the one-pmf scan that _scan_rows
+    replaced: a stable argsort of the positive masses, tie groups where
+    neighbours are apart by more than TIE_RTOL, and a search of the
+    groups' running totals; the same DomainError for a region with a gap."""
+    log_mass = np.asarray(pmf.log_mass)
+    target = 1.0 - alpha
+    order = np.argsort(-log_mass, kind="stable")
+    slog = log_mass[order]
+    npos = int(np.count_nonzero(slog > -np.inf))
+    order, slog = order[:npos], slog[:npos]
+    core_end = boundary_end = npos
+    gamma = 0.0
+    if npos:
+        gaps = slog[:-1] - slog[1:]
+        tol = regions.TIE_RTOL * np.maximum(1.0, np.abs(slog[:-1]))
+        ends = np.flatnonzero(np.append(gaps > tol, True))
+        group_cum = np.cumsum(np.exp(slog))[ends]
+        ncore = int(np.searchsorted(group_cum, target + 1e-15, side="right"))
+        if ncore < len(ends):
+            core_end = int(ends[ncore - 1]) + 1 if ncore else 0
+            before = float(group_cum[ncore - 1]) if ncore else 0.0
+            gsum = float(group_cum[ncore] - before)
+            gamma = min(1.0, max(0.0, (target - before) / gsum if gsum > 0 else 0.0))
+            boundary_end = int(ends[ncore]) + 1
+    core = order[:core_end]
+    lo, hi = (int(core.min()), int(core.max())) if core_end else (0, -1)
+    vals = order[core_end:boundary_end].tolist() + ([lo, hi] if core_end else [])
+    flo, fhi = (min(vals), max(vals)) if vals else (lo, hi)
+    if core_end != hi - lo + 1 or boundary_end != fhi - flo + 1:
+        raise DomainError(f"the smallest region at alpha={alpha!r} is not an interval: "
+                          f"{core_end} core values within {lo}..{hi}, "
+                          f"{boundary_end} with the boundary within {flo}..{fhi}")
+    return lo, hi, flo, fhi, gamma
+
+
+def scan_rows(pmfs, alpha):
+    return [tuple(row) for row in regions._scan_rows(pmfs, alpha).tolist()]
+
+
+def log_pmf(*masses):
+    with np.errstate(divide="ignore"):
+        return regions.EstimatedPmf(np.log(np.array(masses, dtype=float)))
+
+
+# degenerate pmfs: {0}, point masses with -inf below them, masses summing
+# below the target (all kept), no mass at all, and long tie runs
+ODD_PMFS = ([pmf_poisson(0.0), pmf_plugin_ml(3, 0)] + [pmf_umvue(1, t) for t in range(5)]
+            + [log_pmf(0.3, 0.5), log_pmf(0.0, 0.0, 0.0), log_pmf(*[0.1] * 10),
+               log_pmf(0.1, 0.2, 0.2, 0.2, 0.2, 0.1), log_pmf(0.0, 0.25, 0.5, 0.25)])
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.01])
+def test_scan_equals_the_one_pmf_scan_at_every_exact_props_rate(alpha):
+    # the benchmark's grid 0.05..500: every 20th rate an integer, with tied modes
+    pmfs = [pmf_poisson(k * 0.05) for k in range(1, 10001)]
+    assert scan_rows(pmfs, alpha) == [reference_row(p, alpha) for p in pmfs]
+
+
+@pytest.mark.parametrize("lam, n", [(1.0, 5), (5.0, 50), (100.0, 100)])
+def test_intercept_table_equals_the_one_pmf_scan_at_every_central_total(lam, n):
+    sd = math.sqrt(n * lam)
+    totals = np.arange(max(0, int(n * lam - 6 * sd)), int(n * lam + 6 * sd) + 1)
+    table = simulate._intercept_table((n, totals, 0.05))
+    for t, rows in zip(totals.tolist(), table.tolist()):
+        plugin = pmf_plugin_ml(n, t)
+        pmfs = [plugin, pmf_taylor(n, t) if t else plugin, pmf_umvue(n, t),
+                pmf_gamma_predictive(n, t, simulate.PRIOR_KAPPA, simulate.PRIOR_BETA)]
+        assert [tuple(rows[i]) for i in (0, 3, 4, 5)] == \
+            [reference_row(p, 0.05) for p in pmfs], t
+        assert tuple(rows[1]) == region_adjusted_normal(n, t, 0.05).row
+        assert tuple(rows[2]) == region_adjusted_sqrt(n, t, 0.05).row
+
+
+@pytest.mark.parametrize("alpha", [0.003, 0.05, 0.2, 0.5])
+def test_scan_equals_the_one_pmf_scan_on_ties_and_degenerate_pmfs(alpha):
+    pmfs = [pmf_poisson(float(k)) for k in range(1, 61)] + [pmf_plugin_ml(4, 4 * k)
+                                                             for k in range(1, 30)]
+    # each odd pmf alone, and all of them in one block with the Poisson ones
+    for pmf in ODD_PMFS:
+        assert scan_rows([pmf], alpha) == [reference_row(pmf, alpha)]
+    mixed = pmfs[:30] + ODD_PMFS + pmfs[30:]
+    assert scan_rows(mixed, alpha) == [reference_row(p, alpha) for p in mixed]
+    assert scan_rows([log_pmf(*[0.1] * 10)], alpha) == [(0, -1, 0, 9, 1.0 - alpha)]
+    assert regions._scan_rows([], alpha).shape == (0, 5)
+
+
+def test_a_gapped_pmf_in_a_block_raises_the_one_pmf_error():
+    gapped = log_pmf(0.30, 0.02, 0.02, 0.30, 0.36)
+    with pytest.raises(DomainError, match="not an interval") as want:
+        reference_row(gapped, 0.1)
+    with pytest.raises(DomainError) as got:
+        regions._scan_rows([pmf_poisson(3.0), gapped, pmf_poisson(5.0)], 0.1)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("rows_per_block", [1, 7])
+def test_scan_rows_do_not_depend_on_the_block_cap(monkeypatch, rows_per_block):
+    pmfs = ODD_PMFS + [pmf_poisson(k * 0.37) for k in range(1, 200)]
+    whole = scan_rows(pmfs, 0.05)
+    assert whole == [reference_row(p, 0.05) for p in pmfs]
+    cap = rows_per_block * max(p.log_mass.size for p in pmfs)
+    blocks = []
+    scan_block = regions._scan_block
+    monkeypatch.setattr(regions, "_scan_block",
+                        lambda block, width, alpha: blocks.append((len(block), width))
+                        or scan_block(block, width, alpha))
+    monkeypatch.setattr(regions, "_SCAN_CELLS", cap)
+    assert scan_rows(pmfs, 0.05) == whole
+    assert sum(m for m, _ in blocks) == len(pmfs)
+    assert all(m * width <= cap for m, width in blocks)
+    assert max(m for m, _ in blocks) >= rows_per_block
+    blocks.clear()
+    monkeypatch.setattr(regions, "_SCAN_CELLS", 1)        # every pmf wider than the cap
+    assert scan_rows(pmfs, 0.05) == whole
+    assert [m for m, _ in blocks] == [1] * len(pmfs)
+
+
+def traced_peak(run):
+    """The tracemalloc peak, in bytes, while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_scan_holds_a_generator_of_wide_pmfs_a_few_at_a_time():
+    # past _SCAN_CELLS each pmf is a block of its own, so the scan of 20
+    # takes about what building and scanning one takes, with one pmf more
+    # held while the next is built
+    lams = [2e5 + 100.5 * k for k in range(20)]
+    one = pmf_poisson(lams[-1]).log_mass.nbytes
+    assert one > 8 * regions._SCAN_CELLS
+    one_peak = traced_peak(lambda: regions._scan_rows([pmf_poisson(lams[-1])], 0.05))
+    rows = []
+    peak = traced_peak(lambda: rows.extend(scan_rows((pmf_poisson(lam) for lam in lams), 0.05)))
+    assert peak < one_peak + 2 * one < 10 * one
+    assert [rows[k] for k in (0, 19)] == [reference_row(pmf_poisson(lams[k]), 0.05)
+                                          for k in (0, 19)]
+
+
+def test_exact_props_rows_of_a_wide_grid_equal_one_command_per_rate(capsys):
+    lams = ["0.05", "2.5", "40.0", "777.7", "31250.5", "100000.0"]
+    assert exact_props_rows([",".join(lams)], capsys) == exact_props_rows(lams, capsys)
 
 
 def test_region_input_validation():
