@@ -66,12 +66,13 @@ from .overdispersion import _rate_and_count_variance, estimate_xi, fit_overdispe
 from .regions import (
     _check_alpha,
     _exact_rows,
-    _normal_interval,
+    _interval_region,
+    _interval_rows,
+    _normal_bounds,
     _scan_rows,
+    _sqrt_bounds,
     pmf_poisson,
     realize,
-    region_normal_known,
-    region_sqrt_known,
 )
 from .simulate import SimConfig, result_to_csv, run_experiment
 
@@ -291,7 +292,8 @@ def _cmd_predict(args) -> int:
         lam0, vhat = rate_and_variance(base, x0)
         if over is not None:
             rate, count_variance = _rate_and_count_variance(over, x0)
-            region = _normal_interval(rate, count_variance, args.alpha)
+            region = _interval_region(_normal_bounds(rate, count_variance, args.alpha),
+                                      args.alpha)
         else:
             count_variance = lam0 * vhat
             region = _variant_region(lam0, vhat, args.alpha, args.variant)
@@ -423,8 +425,8 @@ def _cmd_exact_props(args) -> int:
         # the nonrandomized region is the folded interval, always included
         rows[:, 1, 0:2] = rows[:, 1, 2:4] = rows[:, 0, 2:4]
         rows[:, 1, 4] = 0.0
-        rows[:, 2] = [region_normal_known(lam, args.alpha).row for lam in batch]
-        rows[:, 3] = [region_sqrt_known(lam, args.alpha).row for lam in batch]
+        rows[:, 2] = _interval_rows(*_normal_bounds(batch, batch, args.alpha))
+        rows[:, 3] = _interval_rows(*_sqrt_bounds(batch, 1.0, args.alpha))
         props = _exact_rows(rows.reshape(-1, 5), np.repeat(batch, 4))
         for lam, cells in zip(batch, props.reshape(-1, 8).tolist()):
             lines.append(",".join(map(repr, [lam, *cells])))

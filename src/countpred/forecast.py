@@ -9,6 +9,7 @@ a sensitivity sweep that repeats the forecast across data cutoffs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,7 +25,7 @@ from .errors import (
 )
 from .glm import DesignSpec, GlmFit, _design_rows, build_design, fit
 from .overdispersion import OverdispersedFit, _rate_and_count_variance, fit_overdispersed
-from .regions import _check_alpha, _normal_interval
+from .regions import _check_alpha, _interval_rows, _normal_bounds
 
 __all__ = [
     "DayForecast",
@@ -113,27 +114,27 @@ def cumulative_forecast(fit_, series: DailySeries, target_daynum: int,
     a_star = alpha_star(alpha, horizon)
     _check_alpha(a_star)
     s_current = series.total()
-    per_day = []
-    lo_sum = 0
-    hi_sum = 0
-    point_sum = 0.0
+    rates, bounds, point_sum = [], [], 0.0
     days = range(last + 1, target_daynum + 1)
     labels = [weekday_of_daynum(d) for d in days] if spec.include_day_factor else None
-    for daynum, x0 in zip(days, _design_rows(np.array(days, float), labels, spec)):
+    for x0 in _design_rows(np.array(days, float), labels, spec):
         # DivergenceError where exp would overflow
         rate, var = _rate_and_count_variance(fit_, x0)
-        region = _normal_interval(rate, var, a_star)
-        per_day.append(DayForecast(daynum=daynum, point=rate,
-                                   lower=region.realized_lo, upper=region.realized_hi))
-        lo_sum += region.realized_lo
-        hi_sum += region.realized_hi
+        bounds.append(_normal_bounds(rate, var, a_star))
+        if not all(map(math.isfinite, bounds[-1])):
+            _interval_rows(*bounds[-1])     # this day's DivergenceError
+        rates.append(rate)
         point_sum += float(np.rint(rate))
+    rows = _interval_rows(*zip(*bounds))[:, :2].tolist()
+    per_day = tuple(DayForecast(daynum=d, point=rate, lower=int(lo), upper=int(hi))
+                    for d, rate, (lo, hi) in zip(days, rates, rows))
     return ForecastResult(
         horizon_days=horizon,
         alpha_star=a_star,
-        per_day=tuple(per_day),
+        per_day=per_day,
         point_cumulative=s_current + int(point_sum),
-        interval_cumulative=(s_current + lo_sum, s_current + hi_sum),
+        interval_cumulative=(s_current + sum(day.lower for day in per_day),
+                             s_current + sum(day.upper for day in per_day)),
         s_current=s_current,
         model_tag=tag,
     )

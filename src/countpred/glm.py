@@ -31,8 +31,9 @@ from .regions import (
     _ENUM_LIMIT,
     PredictionRegion,
     _check_alpha,
-    _normal_interval,
-    _sqrt_interval,
+    _interval_region,
+    _normal_bounds,
+    _sqrt_bounds,
     build_smallest,
     pmf_poisson,
     realize,
@@ -456,12 +457,12 @@ def _variant_region(lam0: float, vhat: float, alpha: float,
     A smallest-plugin region comes before its uniform draw.
     """
     if variant == "normal":
-        return _normal_interval(lam0, lam0 * vhat, alpha)
+        return _interval_region(_normal_bounds(lam0, lam0 * vhat, alpha), alpha)
     if variant == "sqrt":
-        return _sqrt_interval(lam0, vhat, alpha)
+        return _interval_region(_sqrt_bounds(lam0, vhat, alpha), alpha)
     if variant == "smallest-plugin":
         if lam0 > _ENUM_LIMIT:
-            return _normal_interval(lam0, lam0, alpha)
+            return _interval_region(_normal_bounds(lam0, lam0, alpha), alpha)
         return build_smallest(pmf_poisson(lam0), alpha)
     raise DomainError(f"unknown region variant: {variant!r}")
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DivergenceError, DomainError, SingularityError
 from .glm import GlmFit, _fit_basis, _predicted_rate, rate_and_variance
-from .regions import PredictionRegion, _check_alpha, _normal_interval
+from .regions import PredictionRegion, _check_alpha, _interval_region, _normal_bounds
 
 __all__ = [
     "OverdispersedFit",
@@ -183,7 +183,7 @@ def region_overdispersed(fit_: OverdispersedFit, x0, alpha: float) -> Prediction
     infinite-xi sentinel, the plain normal region of the Poisson fit.
     """
     _check_alpha(alpha)
-    return _normal_interval(*_rate_and_count_variance(fit_, x0), alpha)
+    return _interval_region(_normal_bounds(*_rate_and_count_variance(fit_, x0), alpha), alpha)
 
 
 def gen_frailty_counts(rates, xi: float, rng: np.random.Generator) -> np.ndarray:

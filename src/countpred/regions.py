@@ -9,11 +9,17 @@ with the nonnegative integers.  Every region is an interval of counts,
 and so is its core with the boundary folded in; ``build_smallest``
 raises DomainError for a pmf whose most probable values are not.
 
-Smallest regions are built in bulk: ``_scan_rows`` stacks consecutive
-pmfs into -inf-padded blocks of at most ``_SCAN_CELLS`` cells, sorts and
-sums each block in one pass, and returns every region as its row (core
-lo, core hi, folded lo, folded hi, gamma); ``build_smallest`` is its
-one-pmf case.  ``_exact_rows`` scores such rows under known rates.
+Regions are built in bulk, as rows (core lo, core hi, folded lo, folded
+hi, gamma).  ``_scan_rows`` stacks consecutive pmfs into -inf-padded
+blocks of at most ``_SCAN_CELLS`` cells, sorts and sums each block in one
+pass, and returns the row of every smallest region; ``build_smallest``
+is its one-pmf case.  The closed-form intervals are one idea, the normal
+approximation center -+ z sqrt(var): ``_normal_bounds`` and, on the sqrt
+scale, ``_sqrt_bounds`` take it elementwise over scalars or arrays, and
+``_interval_rows`` turns any number of bounds into rows.  ``_region_of``
+builds every ``PredictionRegion`` from a row, and the scalar interval
+builders are one-element cases.  ``_exact_rows`` scores rows under known
+rates.
 
 Estimated-rate variants plug a pmf estimate into the same machinery:
 plug-in maximum likelihood, a second-order Taylor correction, the
@@ -442,19 +448,16 @@ def build_smallest(pmf: EstimatedPmf, alpha: float) -> PredictionRegion:
     as they are for every unimodal pmf, each one this package builds.
     The one-pmf case of ``_scan_rows``.
     """
-    lo, hi, flo, fhi, gamma = _scan_rows([pmf], alpha)[0].tolist()
+    return _region_of(*_scan_rows([pmf], alpha)[0].tolist(), 1.0 - alpha)
+
+
+def _region_of(lo, hi, flo, fhi, gamma, level: float, length=None) -> PredictionRegion:
+    """The region of the row (lo, hi, flo, fhi, gamma) before its uniform
+    draw: the realized bounds are the core's.  ``length`` defaults to the
+    core's width hi - lo, at least 0."""
     lo, hi = int(lo), int(hi)
-    return PredictionRegion(
-        core_lo=lo,
-        core_hi=hi,
-        folded_lo=int(flo),
-        folded_hi=int(fhi),
-        boundary_prob=gamma,
-        realized_lo=lo,
-        realized_hi=hi,
-        level=1.0 - alpha,
-        length=float(max(0, hi - lo)),
-    )
+    return PredictionRegion(lo, hi, int(flo), int(fhi), float(gamma), lo, hi, level,
+                            float(max(0, hi - lo)) if length is None else length)
 
 
 def realize(region: PredictionRegion, u: float) -> PredictionRegion:
@@ -490,40 +493,50 @@ def region_nonrandomized(region: PredictionRegion) -> PredictionRegion:
     lo, hi = region.folded_lo, region.folded_hi
     if (lo, hi) == (region.core_lo, region.core_hi):
         return region
-    return PredictionRegion(
-        core_lo=lo, core_hi=hi, folded_lo=lo, folded_hi=hi, boundary_prob=0.0,
-        realized_lo=lo, realized_hi=hi, level=region.level,
-        length=float(hi - lo))
+    return _region_of(lo, hi, lo, hi, 0.0, region.level)
 
 
-def _interval_region(lower: float, upper: float, alpha: float) -> PredictionRegion:
-    if not (math.isfinite(lower) and math.isfinite(upper)):
-        raise DivergenceError(
-            f"prediction interval bound is not finite: [{lower}, {upper}]")
-    lo = int(math.ceil(lower))
-    hi = int(math.floor(upper))
-    if hi < lo:
-        lo, hi = 0, -1
-    return PredictionRegion(
-        core_lo=lo, core_hi=hi, folded_lo=lo, folded_hi=hi, boundary_prob=0.0,
-        realized_lo=lo, realized_hi=hi, level=1.0 - alpha,
-        length=float(upper - lower))
+def _normal_bounds(center, var, alpha: float):
+    """center -+ z sqrt(var), the lower clipped at 0, with z the 1 - alpha/2
+    normal quantile; elementwise over scalars or arrays."""
+    half = normal_quantile(1.0 - alpha / 2.0) * np.sqrt(var)
+    return np.fmax(0.0, center - half), center + half
 
 
-def _normal_interval(center: float, var: float, alpha: float) -> PredictionRegion:
-    """center +- z sqrt(var), clipped at 0, with z the 1 - alpha/2 quantile."""
-    half = normal_quantile(1.0 - alpha / 2.0) * math.sqrt(var)
-    return _interval_region(max(0.0, center - half), center + half, alpha)
+def _sqrt_bounds(rate, v, alpha: float):
+    """Normal bounds sqrt(rate) -+ z sqrt(v/4) on the sqrt scale, squared.
 
-
-def _sqrt_interval(rate: float, v: float, alpha: float) -> PredictionRegion:
-    """Normal limits sqrt(rate) +- z sqrt(v/4) on the sqrt scale, squared.
-
-    sqrt(Y) has variance about v/4 when Y has variance rate * v.
+    sqrt(Y) has variance about v/4 when Y has variance rate * v.  The
+    squares come from the C library's pow, as Python's ``** 2`` on a
+    float does; an array's ``** 2`` multiplies, which can round apart.
     """
-    c = normal_quantile(1.0 - alpha / 2.0) * math.sqrt(v / 4.0)
-    s = math.sqrt(rate)
-    return _interval_region(max(0.0, s - c) ** 2, (s + c) ** 2, alpha)
+    lower, upper = _normal_bounds(np.sqrt(rate), v / 4.0, alpha)
+    return np.float_power(lower, 2), np.float_power(upper, 2)
+
+
+def _interval_rows(lower, upper) -> np.ndarray:
+    """The rows (lo, hi, lo, hi, 0) of the count intervals ceil(lower) ..
+    floor(upper), (0, -1) where empty, as an (m, 5) float array.
+
+    DivergenceError names the first pair with a bound that is not finite.
+    """
+    bounds = np.array([lower, upper], dtype=np.float64).reshape(2, -1)
+    bad = np.flatnonzero(~np.isfinite(bounds).all(axis=0))
+    if bad.size:
+        raise DivergenceError(f"prediction interval bound is not finite: "
+                              f"{bounds[:, bad[0]].tolist()}")
+    lo, hi = np.ceil(bounds[0]), np.floor(bounds[1])
+    empty = hi < lo
+    lo[empty], hi[empty] = 0.0, -1.0
+    return np.array([lo, hi, lo, hi, np.zeros(lo.size)]).T
+
+
+def _interval_region(bounds, alpha: float) -> PredictionRegion:
+    """The region of one interval (lower, upper), as ``_interval_rows``
+    builds it, at level 1 - alpha; its length is upper - lower."""
+    lower, upper = bounds
+    return _region_of(*_interval_rows(lower, upper)[0].tolist(), 1.0 - alpha,
+                      float(upper - lower))
 
 
 def region_normal_known(lam: float, alpha: float) -> PredictionRegion:
@@ -531,7 +544,7 @@ def region_normal_known(lam: float, alpha: float) -> PredictionRegion:
     _check_alpha(alpha)
     if lam <= 0:
         raise DomainError(f"region_normal_known requires lam > 0, got {lam}")
-    return _normal_interval(lam, lam, alpha)
+    return _interval_region(_normal_bounds(lam, lam, alpha), alpha)
 
 
 def region_sqrt_known(lam: float, alpha: float) -> PredictionRegion:
@@ -539,7 +552,7 @@ def region_sqrt_known(lam: float, alpha: float) -> PredictionRegion:
     _check_alpha(alpha)
     if lam <= 0:
         raise DomainError(f"region_sqrt_known requires lam > 0, got {lam}")
-    return _sqrt_interval(lam, 1.0, alpha)
+    return _interval_region(_sqrt_bounds(lam, 1.0, alpha), alpha)
 
 
 def region_adjusted_normal(n: int, t: int, alpha: float) -> PredictionRegion:
@@ -553,7 +566,7 @@ def region_adjusted_normal(n: int, t: int, alpha: float) -> PredictionRegion:
     if t < 0:
         raise DomainError(f"region_adjusted_normal requires t >= 0, got {t}")
     rate = t / n
-    return _normal_interval(rate, rate * (1.0 + 1.0 / n), alpha)
+    return _interval_region(_normal_bounds(rate, rate * (1.0 + 1.0 / n), alpha), alpha)
 
 
 def region_adjusted_sqrt(n: int, t: int, alpha: float) -> PredictionRegion:
@@ -563,7 +576,7 @@ def region_adjusted_sqrt(n: int, t: int, alpha: float) -> PredictionRegion:
         raise DomainError(f"region_adjusted_sqrt requires n >= 1, got {n}")
     if t < 0:
         raise DomainError(f"region_adjusted_sqrt requires t >= 0, got {t}")
-    return _sqrt_interval(t / n, 1.0 + 1.0 / n, alpha)
+    return _interval_region(_sqrt_bounds(t / n, 1.0 + 1.0 / n, alpha), alpha)
 
 
 def exact_region_properties(region: PredictionRegion, lam: float) -> tuple[float, float]:

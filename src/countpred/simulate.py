@@ -27,13 +27,14 @@ once per distinct T of the whole run and keeps a table row per T and
 region, its ``PredictionRegion.row``: the bounds without and with the
 boundary and its inclusion probability gamma.  The four smallest
 regions of every total come from one ``regions._scan_rows`` call over
-their pmfs, and the two intervals from their builders.  Coverage and
+their pmfs, and the two intervals from one ``regions._interval_rows``
+call each, over the bounds of every total at once.  Coverage and
 length of every replication are read from its total's row in one
 vectorized step.  A row depends only on (n, T, alpha), so the results
 stay the same for every worker count.
 Regression replications are fitted one at a time, in fixed-size chunks;
-each keeps the same kind of row for its three regions, and a chunk is
-scored in one step.
+each keeps its smallest region's row and its two intervals' bounds, the
+chunk turns those bounds into rows in one call, and is scored in one step.
 """
 
 from __future__ import annotations
@@ -55,14 +56,15 @@ from .glm import _variant_region, fit, rate_and_variance
 from .regions import (
     _check_alpha,
     _check_enumerable,
+    _interval_rows,
+    _normal_bounds,
     _scan_rows,
+    _sqrt_bounds,
     _taylor_from_plugin,
     hyper_from_mean_sd,
     pmf_gamma_predictive,
     pmf_plugin_ml,
     pmf_umvue,
-    region_adjusted_normal,
-    region_adjusted_sqrt,
 )
 
 __all__ = [
@@ -92,8 +94,6 @@ REGRESSION_CASES = {
 
 INTERCEPT_REGIONS = ("Gam0", "Gam1", "Gam2", "Gam3", "Gam4", "Gam5")
 REGRESSION_REGIONS = ("Gam0", "Gam1", "Gam2")
-# The region_regression variant behind each of REGRESSION_REGIONS.
-_REGRESSION_VARIANTS = ("smallest-plugin", "normal", "sqrt")
 
 # Rates beyond this cannot be sampled as 64-bit counts; such draws are
 # discarded and redrawn, with the count reported.
@@ -336,13 +336,14 @@ def _smallest_pmfs(n: int, totals):
 
 def _intercept_table(args):
     """The row of each region, per total: one scan over every total's
-    smallest-region pmfs, the two intervals from their builders."""
+    smallest-region pmfs; the two intervals, region_adjusted_normal's and
+    region_adjusted_sqrt's, elementwise over the totals."""
     n, totals, alpha = args
-    ts = totals.tolist()
-    rows = np.empty((len(ts), 6, 5))
-    rows[:, _SMALLEST] = _scan_rows(_smallest_pmfs(n, ts), alpha).reshape(len(ts), 4, 5)
-    rows[:, 1] = [region_adjusted_normal(n, t, alpha).row for t in ts]
-    rows[:, 2] = [region_adjusted_sqrt(n, t, alpha).row for t in ts]
+    rate, v = totals / n, 1.0 + 1.0 / n
+    rows = np.empty((totals.size, 6, 5))
+    rows[:, _SMALLEST] = _scan_rows(_smallest_pmfs(n, totals.tolist()), alpha).reshape(-1, 4, 5)
+    rows[:, 1] = _interval_rows(*_normal_bounds(rate, rate * v, alpha))
+    rows[:, 2] = _interval_rows(*_sqrt_bounds(rate, v, alpha))
     return rows
 
 
@@ -367,11 +368,14 @@ def _regression_chunk(args):
     """Covers, realized lengths and redraws of replications start..stop-1.
 
     Each replication is fitted on the rows it was drawn from and keeps its
-    three regions' rows; all are scored in one step.
+    smallest region's row and the bounds of its two intervals; one with a
+    bound that is not finite is redrawn.  The intervals' rows come from
+    one ``_interval_rows`` call, and all rows are scored in one step.
     """
     seed, start, stop, n, p, theta, w_dist, alpha = args
     m = stop - start
     rows = np.empty((m, 3, 5))
+    bounds = []     # normal lower, upper, sqrt lower, upper
     u = np.empty(m)
     y0 = np.empty(m, dtype=np.int64)
     redraws = 0
@@ -382,13 +386,17 @@ def _regression_chunk(args):
             u[j] = rng.random()
             try:
                 lam0, vhat = rate_and_variance(fit(powers[:n], y), powers[n])
-                regs = [_variant_region(lam0, vhat, alpha, v) for v in _REGRESSION_VARIANTS]
+                rows[j, 0] = _variant_region(lam0, vhat, alpha, "smallest-plugin").row
+                b = (*_normal_bounds(lam0, lam0 * vhat, alpha), *_sqrt_bounds(lam0, vhat, alpha))
+                if not all(map(math.isfinite, b)):
+                    _interval_rows(b[0::2], b[1::2])    # the first such pair's error
             except (SingularityError, NonConvergenceError, DivergenceError) as exc:
                 rd = _redraw(rd, f"the fit failed: {exc}")
                 continue
             break
         redraws += rd
-        rows[j] = [r.row for r in regs]
+        bounds.append(b)
+    rows[:, 1:] = _interval_rows(*np.reshape(bounds, (-1, 2)).T).reshape(m, 2, 5)
     return _score(rows, u, y0) + (redraws,)
 
 

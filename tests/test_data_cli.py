@@ -517,6 +517,12 @@ def test_cli_refuses_supports_past_the_enumeration_cap(argv, capsys):
     assert err.startswith("error: usage:") and err.count("\n") == 1
 
 
+def test_cli_exact_props_refuses_a_zero_rate(capsys):
+    code, out, err = run_captured(["exact-props", "--lambda-grid", "0,1"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: usage: exact_region_properties requires lam > 0, got 0.0\n"
+
+
 def test_cli_reallocate(series_csv, tmp_path):
     adj = tmp_path / "adj.json"
     adj.write_text(json.dumps([{"daynum": 80, "amount": 10}]))

@@ -256,3 +256,7 @@ def test_sweep_keeps_diverging_cutoffs():
     assert failed and len(failed) < len(rows)
     for row in failed:
         assert row.result is None and "not finite" in row.error
+    # the first day whose interval fails names the error, though a later
+    # day's prediction point overflows exp
+    errors = {row.cutoff_daynum: row.error for row in failed}
+    assert errors[75] == errors[76] == "prediction interval bound is not finite: [0.0, inf]"

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as hs
 
 from countpred import cli, glm, regions, simulate
 from countpred import (
+    DivergenceError,
     DomainError,
     MomentFailure,
     PredictionRegion,
@@ -859,17 +860,38 @@ def pinned_sqrt(s, c, alpha):
 @pytest.mark.parametrize("alpha", PIN_ALPHAS)
 def test_closed_form_rate_regions_are_pinned(alpha):
     z = normal_quantile(1.0 - alpha / 2.0)
-    for lam in (1e-3, 0.25, 1.0, 7.5, 100.0, 2e6):
+    lams = (1e-3, 0.25, 1.0, 7.5, 100.0, 2e6)
+    for lam in lams:
         assert region_normal_known(lam, alpha) == \
             pinned_normal(lam, z * math.sqrt(lam), alpha)
         assert region_sqrt_known(lam, alpha) == \
             pinned_sqrt(math.sqrt(lam), z / 2.0, alpha)
-    for n, t in ((1, 0), (1, 1), (1, 17), (10, 0), (10, 50), (7, 3), (1000, 12345)):
+    cells = ((1, 0), (1, 1), (1, 17), (10, 0), (10, 50), (7, 3), (1000, 12345))
+    for n, t in cells:
         rate = t / n
         assert region_adjusted_normal(n, t, alpha) == \
             pinned_normal(rate, z * math.sqrt(rate * (1.0 + 1.0 / n)), alpha)
         assert region_adjusted_sqrt(n, t, alpha) == \
             pinned_sqrt(math.sqrt(rate), z * math.sqrt(0.25 * (1.0 + 1.0 / n)), alpha)
+    # the same intervals in one elementwise call each, row for row
+    lam = np.array(lams)
+    n, t = np.array(cells).T
+    rate, v = t / n, 1.0 + 1.0 / n
+    for bounds, built in (
+            (regions._normal_bounds(lam, lam, alpha),
+             [region_normal_known(x, alpha) for x in lams]),
+            (regions._sqrt_bounds(lam, 1.0, alpha),
+             [region_sqrt_known(x, alpha) for x in lams]),
+            (regions._normal_bounds(rate, rate * v, alpha),
+             [region_adjusted_normal(*c, alpha) for c in cells]),
+            (regions._sqrt_bounds(rate, v, alpha),
+             [region_adjusted_sqrt(*c, alpha) for c in cells])):
+        assert list(map(tuple, regions._interval_rows(*bounds).tolist())) == \
+            [region.row for region in built]
+    # the first pair with a bound that is not finite is named
+    with pytest.raises(DivergenceError) as err:
+        regions._interval_rows([1.0, 0.0, 2.0], [3.0, math.inf, math.nan])
+    assert str(err.value) == "prediction interval bound is not finite: [0.0, inf]"
 
 
 @pytest.mark.parametrize("alpha", PIN_ALPHAS)

@@ -197,6 +197,26 @@ def test_regression_chunk_matches_per_replication_build(n, p, theta, w_dist, alp
         assert (rates > glm._ENUM_LIMIT).any() and (rates <= glm._ENUM_LIMIT).any()
 
 
+def test_regression_chunk_redraws_a_bound_that_is_not_finite(monkeypatch):
+    # A separated design with a far holdout gets here: lam0 * vhat overflows
+    # while rate_and_variance succeeds.  Here every holdout with w > 0.7 is
+    # given an infinite variance factor, in the chunk and the reference.
+    rate_and_variance = glm.rate_and_variance
+
+    def infinite_far_out(fit_, x0):
+        lam0, vhat = rate_and_variance(fit_, x0)
+        return lam0, float("inf") if x0[1] > 0.7 else vhat
+
+    monkeypatch.setattr(glm, "rate_and_variance", infinite_far_out)
+    monkeypatch.setattr(simulate, "rate_and_variance", infinite_far_out)
+    args = (777, 10, 110, 200, *REGRESSION_CASES[1], 0.05)
+    covers, lengths, redraws = _regression_chunk(args)
+    ref_covers, ref_lengths, ref_redraws, _ = reference_regression_chunk(*args)
+    assert redraws == ref_redraws > 0
+    assert np.array_equal(covers, ref_covers)
+    assert np.array_equal(lengths, ref_lengths)
+
+
 def test_regression_worker_count_invariant():
     # Two chunks, with overflow redraws: each replication keeps its own
     # stream whichever worker fits it.
